@@ -9,7 +9,6 @@ features.
 from .dataset import (
     Dataset,
     Scaler,
-    apply_scaler,
     fit_scaler,
     load_csv,
     load_feature_csv,
@@ -26,7 +25,7 @@ from .errors import (
     WidthMismatchError,
     ZeroTargetError,
 )
-from .fitfn import LeastSquares, LinearModel, ols_fit
+from .fitfn import LinearModel, ols_fit
 from .metrics import (
     BathtubReport,
     DecileProfile,
@@ -66,7 +65,6 @@ __all__ = [
     "DiagnoseReport",
     "InputError",
     "KnnRouter",
-    "LeastSquares",
     "LinearModel",
     "ModelFormatError",
     "ProfileBin",
@@ -79,7 +77,6 @@ __all__ = [
     "SynthConfig",
     "WidthMismatchError",
     "ZeroTargetError",
-    "apply_scaler",
     "bathtub_report",
     "dafr_score",
     "dafr_score_oracle",

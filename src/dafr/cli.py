@@ -23,7 +23,6 @@ import numpy as np
 from .dataset import load_csv, load_feature_csv, train_test_split, write_csv
 from .errors import DafrError, InputError
 from .experiments import compare_run, summarize_compare
-from .fitfn import LeastSquares
 from .metrics import write_profile_csv
 from .pipeline import SegmentSpec, dafr_score, dafr_train, diagnose, load_model, save_model
 from .simfn import SegmentLabel
@@ -199,8 +198,8 @@ def cmd_train(cfg: dict) -> int:
         train_ds = ds
 
     spec = SegmentSpec(q_front=cfg["q_front"], q_back=cfg["q_back"])
-    model = dafr_train(train_ds, fit_config=LeastSquares(cfg["ridge"]),
-                       k=cfg["k"], spec=spec, n_bins=cfg["bins"])
+    model = dafr_train(train_ds, ridge=cfg["ridge"], k=cfg["k"], spec=spec,
+                       n_bins=cfg["bins"])
     save_model(model, out)
     stem = Path(cfg["data"]).with_suffix("").name
     before_path = out_dir / f"{stem}.profile_before.csv"

@@ -215,25 +215,22 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
 class Scaler:
     """Column-wise standardizer using the sample (n-1) standard deviation.
 
-    Constant columns are flagged and get a unit divisor, so the training
-    matrix maps to all-zero columns and the transform stays invertible.
+    Constant columns get a unit divisor, so the training matrix maps to
+    all-zero columns instead of dividing by zero.
     """
 
     means: np.ndarray
     stddevs: np.ndarray
-    constant: np.ndarray
 
     def __post_init__(self):
         means = _frozen(self.means)
         stds = _frozen(self.stddevs)
-        const = _frozen(self.constant, dtype=bool)
-        if not means.shape == stds.shape == const.shape or means.ndim != 1:
+        if means.shape != stds.shape or means.ndim != 1:
             raise ValueError("scaler parameter vectors must share one length")
         if np.any(stds <= 0):
             raise ValueError("stddevs must be positive")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "stddevs", stds)
-        object.__setattr__(self, "constant", const)
 
     @property
     def n_features(self) -> int:
@@ -246,45 +243,27 @@ class Scaler:
             raise ValueError("features must be a 2-D matrix")
         if X.shape[0] < 2:
             raise ValueError(f"need at least 2 rows to fit a scaler, got {X.shape[0]}")
-        const = np.ptp(X, axis=0) == 0.0
         raw = X.std(axis=0, ddof=1)
         # raw == 0 also catches subnormal spreads that underflow the variance
         stds = np.where(raw == 0.0, 1.0, raw)
-        return cls(X.mean(axis=0), stds, const)
+        return cls(X.mean(axis=0), stds)
 
-    def _check(self, X: np.ndarray) -> None:
+    def transform(self, features) -> np.ndarray:
+        X = np.asarray(features, dtype=float)
         if X.ndim != 2:
             raise ValueError("expected a 2-D matrix")
         if X.shape[1] != self.n_features:
             raise ValueError(f"scaler was fit on {self.n_features} columns, got {X.shape[1]}")
-
-    def transform(self, features) -> np.ndarray:
-        X = np.asarray(features, dtype=float)
-        self._check(X)
         return (X - self.means) / self.stddevs
 
-    def inverse(self, features) -> np.ndarray:
-        Z = np.asarray(features, dtype=float)
-        self._check(Z)
-        return Z * self.stddevs + self.means
-
     def to_json(self) -> dict:
-        return {
-            "means": [float(v) for v in self.means],
-            "stddevs": [float(v) for v in self.stddevs],
-            "constant": [bool(v) for v in self.constant],
-        }
+        return {"means": self.means.tolist(), "stddevs": self.stddevs.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scaler":
-        return cls(obj["means"], obj["stddevs"], obj["constant"])
+        return cls(obj["means"], obj["stddevs"])
 
 
 def fit_scaler(ds: Dataset) -> Scaler:
     """Scaler fit on a dataset's feature matrix."""
     return Scaler.fit(ds.features)
-
-
-def apply_scaler(scaler: Scaler, features) -> np.ndarray:
-    """Standardize a feature matrix with an already-fit scaler."""
-    return scaler.transform(features)

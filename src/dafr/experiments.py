@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Dataset, train_test_split
-from .fitfn import LeastSquares
-from .metrics import mape
+from .metrics import bathtub_report, mape
 from .pipeline import (
     DafrModel,
     SegmentSpec,
@@ -75,9 +74,8 @@ def bathtub_runs(seeds: Iterable[int] = DEFAULT_SEEDS,
     runs = []
     for seed in seeds:
         ds = generate(replace(config, seed=seed))
-        model = dafr_train(ds, fit_config=LeastSquares(ridge), k=k)
-        report = diagnose(model, ds)
-        tub = report.baseline_bathtub
+        model = dafr_train(ds, ridge=ridge, k=k)
+        tub = bathtub_report(model.train_profile_before)
         runs.append(BathtubRun(
             seed=seed,
             is_bathtub=tub.is_bathtub,
@@ -114,11 +112,10 @@ def compare_run(ds: Dataset, seed: int, test_fraction: float = 0.2,
     """Split, train, and evaluate one dataset; the ingredient behind both
     the improvement battery and the CLI compare table."""
     train, test = train_test_split(ds, test_fraction, seed=seed)
-    model = dafr_train(train, fit_config=LeastSquares(ridge), k=k,
-                       spec=spec, n_bins=n_bins)
+    model = dafr_train(train, ridge=ridge, k=k, spec=spec, n_bins=n_bins)
     report = diagnose(model, test, n_bins=n_bins)
     oracle = mape(test.target, dafr_score_oracle(model, test.features, test.target))
-    front_b = mid_b = back_b = front_d = back_d = math.nan
+    front_b = back_b = front_d = back_d = math.nan
     if report.baseline_bathtub is not None:
         front_b = report.baseline_bathtub.front_mean
         back_b = report.baseline_bathtub.back_mean

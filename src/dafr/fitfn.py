@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 import scipy.linalg
@@ -19,14 +18,6 @@ from .errors import RankDeficientError
 
 # relative cutoff on |R[i,i]| for calling a pivoted column dependent
 RANK_RTOL = 1e-10
-
-
-class FittedModel(Protocol):
-    def predict(self, features) -> np.ndarray: ...
-
-
-class FitFunction(Protocol):
-    def fit(self, features, target) -> FittedModel: ...
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class LinearModel:
     def to_json(self) -> dict:
         return {
             "intercept": self.intercept,
-            "coefficients": [float(c) for c in self.coefficients],
+            "coefficients": self.coefficients.tolist(),
             "ridge_lambda": float(self.ridge_lambda),
             "training_rows": int(self.training_rows),
         }
@@ -133,13 +124,3 @@ def ols_fit(features, target, ridge_lambda: float = 0.0,
         training_rows=n,
     )
 
-
-@dataclass(frozen=True)
-class LeastSquares:
-    """FitFunction adapter carrying the ridge setting through the pipeline."""
-
-    ridge_lambda: float = 0.0
-
-    def fit(self, features, target,
-            feature_names: tuple[str, ...] | None = None) -> LinearModel:
-        return ols_fit(features, target, self.ridge_lambda, feature_names)

@@ -120,11 +120,15 @@ class DecileProfile:
         return [b.to_json() for b in self.bins]
 
     @classmethod
-    def from_json(cls, rows: list[dict]) -> "DecileProfile":
-        bins = tuple(ProfileBin.from_json(r) for r in rows)
+    def from_bins(cls, bins) -> "DecileProfile":
+        """Profile whose overall MAPE is the count-weighted mean of its bins."""
+        bins = tuple(bins)
         total = sum(b.count for b in bins)
-        overall = sum(b.count * b.mape for b in bins) / total
-        return cls(bins, overall)
+        return cls(bins, sum(b.count * b.mape for b in bins) / total)
+
+    @classmethod
+    def from_json(cls, rows: list[dict]) -> "DecileProfile":
+        return cls.from_bins(ProfileBin.from_json(r) for r in rows)
 
 
 def decile_mape_profile(actual, predicted, n_bins: int = 10) -> DecileProfile:
@@ -213,6 +217,4 @@ def read_profile_csv(path) -> DecileProfile:
                            float(r["y_high"]), float(r["mape"])) for r in reader]
     if not rows:
         raise ValueError(f"{path}: no profile rows")
-    total = sum(b.count for b in rows)
-    overall = sum(b.count * b.mape for b in rows) / total
-    return DecileProfile(tuple(rows), overall)
+    return DecileProfile.from_bins(rows)

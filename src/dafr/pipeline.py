@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Scaler, fit_scaler
+from .dataset import Dataset
 from .errors import (
     InputError,
     ModelFormatError,
@@ -24,7 +24,7 @@ from .errors import (
     SegmentSizeError,
     WidthMismatchError,
 )
-from .fitfn import FitFunction, LeastSquares, LinearModel
+from .fitfn import LinearModel, ols_fit
 from .metrics import (
     BathtubReport,
     DecileProfile,
@@ -37,7 +37,7 @@ from .metrics import (
 )
 from .simfn import KnnRouter, SegmentLabel, knn_fit
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,6 @@ class DafrModel:
     training error profiles before and after segmentation."""
 
     spec: SegmentSpec
-    scaler: Scaler
     baseline: LinearModel
     front: LinearModel
     mid: LinearModel
@@ -142,9 +141,6 @@ class DafrModel:
     def n_features(self) -> int:
         return self.baseline.n_features
 
-    def segment_model(self, label) -> LinearModel:
-        return (self.front, self.mid, self.back)[int(label)]
-
 
 def _segment_sizes_text(sizes) -> str:
     return ", ".join(
@@ -152,25 +148,26 @@ def _segment_sizes_text(sizes) -> str:
     )
 
 
-def _fit_named(fit_config: FitFunction, X, y, where: str) -> LinearModel:
+def _fit_named(X, y, ridge: float, feature_names, where: str) -> LinearModel:
     try:
-        return fit_config.fit(X, y)
+        return ols_fit(X, y, ridge, feature_names)
     except RankDeficientError as err:
         raise RankDeficientError(f"{where} fit: {err}") from None
 
 
-def _predict_by_segment(model: DafrModel, features: np.ndarray,
+def _predict_by_segment(models, features: np.ndarray,
                         labels: np.ndarray) -> np.ndarray:
+    """Predict each row with the (front, mid, back) model its label picks."""
     out = np.empty(features.shape[0])
-    for seg in SegmentLabel:
+    for seg, model in zip(SegmentLabel, models):
         mask = labels == int(seg)
         if mask.any():
-            out[mask] = model.segment_model(seg).predict(features[mask])
+            out[mask] = model.predict(features[mask])
     return out
 
 
-def dafr_train(train: Dataset, fit_config: FitFunction | None = None,
-               k: int = 5, spec: SegmentSpec | None = None,
+def dafr_train(train: Dataset, ridge: float = 0.0, k: int = 5,
+               spec: SegmentSpec | None = None,
                min_segment_rows: int | None = None, n_bins: int = 10) -> DafrModel:
     """Fit baseline, segment models, and router on one training set.
 
@@ -179,15 +176,13 @@ def dafr_train(train: Dataset, fit_config: FitFunction | None = None,
     equal is accepted with a warning; every row then lands in the front
     segment and all three segment models are that single fit.
     """
-    if fit_config is None:
-        fit_config = LeastSquares()
     if spec is None:
         spec = SegmentSpec()
-    X, y = train.features, train.target
+    X, y, names = train.features, train.target, train.feature_names
     if min_segment_rows is None:
         min_segment_rows = train.n_features + 2
 
-    baseline = _fit_named(fit_config, X, y, "baseline")
+    baseline = _fit_named(X, y, ridge, names, "baseline")
     profile_before = decile_mape_profile(y, baseline.predict(X), n_bins)
 
     resolved = spec.resolve(y)
@@ -199,7 +194,7 @@ def dafr_train(train: Dataset, fit_config: FitFunction | None = None,
             "segment and one shared model is fit",
             stacklevel=2,
         )
-        front = _fit_named(fit_config, X, y, "front segment")
+        front = _fit_named(X, y, ridge, names, "front segment")
         mid = back = front
     else:
         sizes = np.bincount(labels, minlength=3)
@@ -213,28 +208,21 @@ def dafr_train(train: Dataset, fit_config: FitFunction | None = None,
         parts = []
         for seg in SegmentLabel:
             mask = labels == int(seg)
-            parts.append(_fit_named(fit_config, X[mask], y[mask], f"{seg.tag} segment"))
+            parts.append(_fit_named(X[mask], y[mask], ridge, names, f"{seg.tag} segment"))
         front, mid, back = parts
 
     # recombined profile routes by true training segment; the router is
     # fit afterwards and plays no part here
-    yhat_after = np.empty(train.n_rows)
-    for seg, model in zip(SegmentLabel, (front, mid, back)):
-        mask = labels == int(seg)
-        if mask.any():
-            yhat_after[mask] = model.predict(X[mask])
+    yhat_after = _predict_by_segment((front, mid, back), X, labels)
     profile_after = decile_mape_profile(y, yhat_after, n_bins)
 
-    scaler = fit_scaler(train)
-    router = knn_fit(X, labels, k=k, scaler=scaler)
     return DafrModel(
         spec=resolved,
-        scaler=scaler,
         baseline=baseline,
         front=front,
         mid=mid,
         back=back,
-        router=router,
+        router=knn_fit(X, labels, k=k),
         train_profile_before=profile_before,
         train_profile_after=profile_after,
     )
@@ -271,7 +259,7 @@ def dafr_score(model: DafrModel, features) -> ScoreResult:
     """Route each row to a segment, predict with that segment's model."""
     X = _check_width(model, features)
     labels, dist = model.router.route_many(X, return_distance=True)
-    preds = _predict_by_segment(model, X, labels)
+    preds = _predict_by_segment((model.front, model.mid, model.back), X, labels)
     return ScoreResult(preds, labels, dist)
 
 
@@ -279,7 +267,7 @@ def dafr_score_oracle(model: DafrModel, features, y_true) -> np.ndarray:
     """Evaluation-only ceiling: route by the true target instead of the router."""
     X = _check_width(model, features)
     labels = segment_assign(y_true, model.spec)
-    return _predict_by_segment(model, X, labels)
+    return _predict_by_segment((model.front, model.mid, model.back), X, labels)
 
 
 @dataclass(frozen=True)
@@ -369,7 +357,6 @@ def model_to_json(model: DafrModel) -> dict:
     return {
         "version": MODEL_VERSION,
         "spec": model.spec.to_json(),
-        "scaler": model.scaler.to_json(),
         "baseline": model.baseline.to_json(),
         "front": model.front.to_json(),
         "mid": model.mid.to_json(),
@@ -386,10 +373,13 @@ def model_from_json(obj: dict) -> DafrModel:
     try:
         version = obj["version"]
         if version != MODEL_VERSION:
-            raise ModelFormatError(f"unsupported model version {version!r}")
+            raise ModelFormatError(
+                f"unsupported model version {version!r}, this build reads "
+                f"version {MODEL_VERSION}; retrain with `dafr train --config "
+                f"<model>.config.json`, the config file saved next to the model"
+            )
         return DafrModel(
             spec=SegmentSpec.from_json(obj["spec"]),
-            scaler=Scaler.from_json(obj["scaler"]),
             baseline=LinearModel.from_json(obj["baseline"]),
             front=LinearModel.from_json(obj["front"]),
             mid=LinearModel.from_json(obj["mid"]),
@@ -403,8 +393,7 @@ def model_from_json(obj: dict) -> DafrModel:
 
 
 def save_model(model: DafrModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_json(model), indent=2) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json.dumps(model_to_json(model)) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> DafrModel:

@@ -135,7 +135,7 @@ class KnnRouter:
 
     def to_json(self) -> dict:
         return {
-            "reference_points": [[float(v) for v in row] for row in self.reference_points],
+            "reference_points": self.reference_points.tolist(),
             "labels": [SegmentLabel(int(v)).tag for v in self.labels],
             "k": self.k,
             "scaler": self.scaler.to_json(),
@@ -151,12 +151,9 @@ class KnnRouter:
         )
 
 
-def knn_fit(features, labels, k: int = 5, scaler: Scaler | None = None) -> KnnRouter:
-    """Build a router from raw features; stores them standardized.
-
-    When no scaler is given one is fit on the features themselves.
-    """
+def knn_fit(features, labels, k: int = 5) -> KnnRouter:
+    """Build a router from raw features; stores them standardized by a
+    scaler fit on the features themselves."""
     X = np.asarray(features, dtype=float)
-    if scaler is None:
-        scaler = Scaler.fit(X)
+    scaler = Scaler.fit(X)
     return KnnRouter(scaler.transform(X), labels, k, scaler)

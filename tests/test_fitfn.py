@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dafr.errors import RankDeficientError
-from dafr.fitfn import LeastSquares, LinearModel, ols_fit
+from dafr.fitfn import LinearModel, ols_fit
 
 
 def normal_equations(X, y, ridge_lambda=0.0):
@@ -141,12 +141,3 @@ class TestLinearModel:
         with pytest.raises(ValueError):
             model.coefficients[0] = 2.0
 
-
-class TestLeastSquares:
-    def test_adapter_carries_ridge(self):
-        rng = np.random.default_rng(6)
-        X, y = random_problem(rng, n=50, p=2)
-        fitted = LeastSquares(ridge_lambda=0.5).fit(X, y)
-        direct = ols_fit(X, y, ridge_lambda=0.5)
-        assert fitted.intercept == direct.intercept
-        assert np.array_equal(fitted.coefficients, direct.coefficients)

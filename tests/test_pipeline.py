@@ -161,8 +161,11 @@ class TestTrain:
         x = rng.uniform(1.0, 2.0, size=60)
         X = np.column_stack([x, x])
         ds = Dataset(X, 1.0 + 3.0 * x, ("a", "b"), "y")
-        with pytest.raises(RankDeficientError, match="baseline fit"):
+        with pytest.raises(RankDeficientError, match="baseline fit") as err:
             dafr_train(ds)
+        message = str(err.value)
+        assert "'a'" in message or "'b'" in message
+        assert "feature " not in message
 
     def test_deterministic_retrain(self):
         ds = piecewise(seed=9)
@@ -319,9 +322,9 @@ class TestPersistence:
     def test_field_order_is_fixed(self, tmp_path):
         model = dafr_train(piecewise(seed=2))
         obj = model_to_json(model)
-        assert list(obj) == ["version", "spec", "scaler", "baseline", "front",
+        assert list(obj) == ["version", "spec", "baseline", "front",
                              "mid", "back", "router", "profiles"]
-        assert obj["version"] == 1
+        assert obj["version"] == 2
         assert list(obj["profiles"]) == ["before", "after"]
 
     def test_corrupted_json(self, tmp_path):
@@ -330,14 +333,17 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="not valid JSON"):
             load_model(path)
 
-    def test_wrong_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_wrong_version(self, tmp_path, version):
         model = dafr_train(single_line())
         obj = model_to_json(model)
-        obj["version"] = 99
+        obj["version"] = version
         path = tmp_path / "model.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(ModelFormatError, match="version") as err:
             load_model(path)
+        if version == 1:
+            assert "--config" in str(err.value)
 
     def test_missing_field(self, tmp_path):
         model = dafr_train(single_line())

@@ -28,7 +28,7 @@ def oracle_route(refs_std, labels, k, z):
 
 
 def identity_scaler(p):
-    return Scaler(np.zeros(p), np.ones(p), np.zeros(p, dtype=bool))
+    return Scaler(np.zeros(p), np.ones(p))
 
 
 def random_router(rng, m=200, p=3, k=5):
