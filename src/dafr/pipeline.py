@@ -332,9 +332,7 @@ def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10) -> Diagnose
     base_profile = decile_mape_profile(y, base_pred, n_bins)
     dafr_profile = decile_mape_profile(y, routed.predictions, n_bins)
     true_labels = segment_assign(y, model.spec)
-    confusion = np.zeros((3, 3), dtype=int)
-    for t, r in zip(true_labels, routed.segments):
-        confusion[t, r] += 1
+    confusion = np.bincount(3 * true_labels + routed.segments, minlength=9).reshape(3, 3)
     ten = n_bins == 10
     return DiagnoseReport(
         n_rows=eval_data.n_rows,

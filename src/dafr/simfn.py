@@ -5,6 +5,14 @@ rows. Routing is a pure function made fully deterministic by a fixed
 tie-break cascade: distance ties go to the lower reference row, vote ties
 to the label of the nearest neighbor among the tied labels, and any
 remaining tie to the smaller label.
+
+Routing a block of queries first filters the references with one matrix
+product, ``|z|^2 + |r|^2 - 2 z.r``, keeping a few more candidates than k.
+The candidates are then re-ranked by the exact distance formula of a full
+scan. A per-query error bound certifies that no reference outside the
+candidates can enter the top k; a query that fails the certificate is
+routed by the full scan, so the result is bit-identical to scanning every
+reference for every query.
 """
 
 from __future__ import annotations
@@ -15,6 +23,13 @@ from enum import IntEnum
 import numpy as np
 
 from .dataset import Scaler
+
+# query x reference cells per block: each temporary stays near 0.5 MB
+_BLOCK_CELLS = 1 << 16
+# candidates kept beyond k by the matrix-product filter
+_SPARE = 8
+# above this |z|^2 + max|r|^2 the approximate distances may overflow
+_MAX_SCALE = 1e300
 
 
 class SegmentLabel(IntEnum):
@@ -36,6 +51,65 @@ class SegmentLabel(IntEnum):
             raise ValueError(f"unknown segment tag {tag!r}") from None
 
 
+_TAGS = tuple(s.tag for s in SegmentLabel)
+_CODES = {s.tag: int(s) for s in SegmentLabel}
+
+
+def _k_nearest(refs, ref_sq, Z, k, work) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the k nearest references to each query in ``Z``, ordered by
+    (squared distance, row), and each query's smallest squared distance.
+
+    Equal to a stable argsort of ``np.sum((refs - z) ** 2, axis=1)`` for
+    every query: the exact distances are recomputed with that formula, and
+    a query whose top k the filter cannot certify gets that full scan.
+    ``work`` is a scratch matrix with at least Z's rows and one column per
+    reference; reusing it across blocks saves allocating (and page-faulting)
+    a fresh one per block, which cost as much as the arithmetic.
+    """
+    n_ref, p = refs.shape
+    m = min(n_ref, k + _SPARE)
+    zz = np.einsum("ij,ij->i", Z, Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = np.matmul(Z, refs.T, out=work[:Z.shape[0]])
+        approx *= -2.0
+        approx += ref_sq
+        approx += zz[:, None]
+    if m < n_ref:
+        part = np.argpartition(approx, m, axis=1)
+        cand = part[:, :m]
+        # smallest approximate distance among the references left out
+        outside = np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0]
+    else:
+        cand = np.broadcast_to(np.arange(n_ref), (Z.shape[0], n_ref))
+        outside = np.full(Z.shape[0], np.inf)
+    exact = np.sum((refs[cand] - Z[:, None, :]) ** 2, axis=2)
+    order = np.lexsort((cand, exact))
+    top = np.take_along_axis(cand, order[:, :k], axis=1)
+    ranked = np.take_along_axis(exact, order[:, :k], axis=1)
+    # |approximate - exact| <= slack (rounding in p-term dot products and
+    # sums, plus an absolute term for underflow), so a left-out reference
+    # that could tie or beat the k-th candidate would have an approximate
+    # distance within slack of the k-th exact distance
+    scale = zz + ref_sq.max()
+    slack = 8 * (p + 4) * (np.finfo(float).eps * scale + np.finfo(float).tiny)
+    certified = (outside > ranked[:, -1] + 2 * slack) & (scale < _MAX_SCALE)
+    for i in np.flatnonzero(~certified):
+        d2 = np.sum((refs - Z[i]) ** 2, axis=1)
+        # stable sort: equal distances keep ascending row order
+        top[i] = np.argsort(d2, kind="stable")[:k]
+        ranked[i] = d2[top[i]]
+    return top, ranked[:, 0]
+
+
+def _majority(neighbors: np.ndarray) -> np.ndarray:
+    """Vote over each row of neighbor labels, nearest first: the most
+    frequent label, ties going to the tied label met first."""
+    counts = (neighbors[:, :, None] == np.arange(len(SegmentLabel))).sum(axis=1)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    first = np.argmax(np.take_along_axis(tied, neighbors, axis=1), axis=1)
+    return neighbors[np.arange(neighbors.shape[0]), first]
+
+
 @dataclass(frozen=True)
 class KnnRouter:
     """Maps a feature vector to a SegmentLabel by majority vote of the k
@@ -48,7 +122,7 @@ class KnnRouter:
 
     def __post_init__(self):
         refs = np.array(self.reference_points, dtype=float)
-        labels = np.array([int(v) for v in np.asarray(self.labels).ravel()], dtype=int)
+        labels = np.asarray(self.labels).ravel().astype(int)
         if refs.ndim != 2:
             raise ValueError("reference_points must be a 2-D matrix")
         if not np.isfinite(refs).all():
@@ -84,24 +158,6 @@ class KnnRouter:
     def n_features(self) -> int:
         return self.reference_points.shape[1]
 
-    def _vote(self, z: np.ndarray) -> tuple[SegmentLabel, float]:
-        d2 = np.sum((self.reference_points - z) ** 2, axis=1)
-        # stable sort: equal distances keep ascending row order
-        order = np.argsort(d2, kind="stable")[: self.k]
-        votes = np.bincount(self.labels[order], minlength=3)
-        top = votes.max()
-        tied = np.flatnonzero(votes == top)
-        if tied.shape[0] == 1:
-            label = int(tied[0])
-        else:
-            # nearest neighbor whose label is among the tied ones; ordering
-            # by (neighbor rank, label) also settles a same-rank impossibility
-            label = min(
-                ((rank, int(self.labels[i])) for rank, i in enumerate(order)
-                 if self.labels[i] in tied),
-            )[1]
-        return SegmentLabel(label), float(np.sqrt(d2[order[0]]))
-
     def _standardize(self, features) -> np.ndarray:
         X = np.asarray(features, dtype=float)
         if X.ndim != 2:
@@ -114,21 +170,33 @@ class KnnRouter:
             raise ValueError("query contains NaN or infinite values")
         return self.scaler.transform(X)
 
+    def _route(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and nearest-reference distances for standardized rows.
+
+        ``route`` and ``route_many`` both call this, so neither public
+        method runs inside the other.
+        """
+        refs = self.reference_points
+        ref_sq = np.einsum("ij,ij->i", refs, refs)
+        labels = np.empty(Z.shape[0], dtype=int)
+        dists = np.empty(Z.shape[0])
+        step = max(1, _BLOCK_CELLS // refs.shape[0])
+        work = np.empty((min(step, Z.shape[0]), refs.shape[0]))
+        for lo in range(0, Z.shape[0], step):
+            top, nearest_sq = _k_nearest(refs, ref_sq, Z[lo:lo + step], self.k, work)
+            labels[lo:lo + step] = _majority(self.labels[top])
+            dists[lo:lo + step] = np.sqrt(nearest_sq)
+        return labels, dists
+
     def route(self, x) -> SegmentLabel:
         """Label for a single raw feature vector."""
         z = self._standardize(np.asarray(x, dtype=float).reshape(1, -1))
-        return self._vote(z[0])[0]
+        return SegmentLabel(int(self._route(z)[0][0]))
 
     def route_many(self, features, return_distance: bool = False):
         """Labels for each row; optionally also distance to the nearest
         reference in standardized space."""
-        Z = self._standardize(features)
-        labels = np.empty(Z.shape[0], dtype=int)
-        dists = np.empty(Z.shape[0])
-        for i in range(Z.shape[0]):
-            label, dist = self._vote(Z[i])
-            labels[i] = int(label)
-            dists[i] = dist
+        labels, dists = self._route(self._standardize(features))
         if return_distance:
             return labels, dists
         return labels
@@ -136,7 +204,7 @@ class KnnRouter:
     def to_json(self) -> dict:
         return {
             "reference_points": self.reference_points.tolist(),
-            "labels": [SegmentLabel(int(v)).tag for v in self.labels],
+            "labels": [_TAGS[v] for v in self.labels.tolist()],
             "k": self.k,
             "scaler": self.scaler.to_json(),
         }
@@ -145,7 +213,8 @@ class KnnRouter:
     def from_json(cls, obj: dict) -> "KnnRouter":
         return cls(
             reference_points=obj["reference_points"],
-            labels=[int(SegmentLabel.from_tag(t)) for t in obj["labels"]],
+            labels=[_CODES[t] if t in _CODES else int(SegmentLabel.from_tag(t))
+                    for t in obj["labels"]],
             k=int(obj["k"]),
             scaler=Scaler.from_json(obj["scaler"]),
         )

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dafr.dataset import Scaler
 from dafr.simfn import KnnRouter, SegmentLabel, knn_fit
@@ -25,6 +27,10 @@ def oracle_route(refs_std, labels, k, z):
                 return int(labels[i])
         return min(tied)
     return tied.pop()
+
+
+def oracle_nearest_distance(refs_std, z):
+    return float(np.sqrt(min(float(np.sum((r - z) ** 2)) for r in refs_std)))
 
 
 def identity_scaler(p):
@@ -142,7 +148,64 @@ class TestRouting:
         Z = router.scaler.transform(queries)
         for z, d in zip(Z, dists):
             expected = np.sqrt(np.sum((router.reference_points - z) ** 2, axis=1)).min()
-            assert d == pytest.approx(expected, rel=1e-12)
+            assert d == expected
+
+    def test_route_does_not_call_route_many(self, monkeypatch):
+        # timing wrappers around both public methods count one route call
+        # as one single-row routing; nesting would count it twice
+        router = knn_fit([[0.0], [10.0]], [F, B], k=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("route went through route_many")
+
+        monkeypatch.setattr(KnnRouter, "route_many", refuse)
+        assert router.route([1.0]) is F
+        assert router.route([9.0]) is B
+
+
+# reference sets the matrix-product filter finds hard: exact ties on integer
+# grids, clusters of duplicated rows larger than its candidate set (some a
+# few ulps apart), magnitudes near the float range, far-away queries
+@st.composite
+def routing_problems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["grid", "duplicates", "scaled", "far"]))
+    p = draw(st.integers(1, 3 if kind == "grid" else 20))
+    if kind == "grid":
+        refs = rng.integers(-1, 2, size=(n, p)).astype(float)
+        queries = rng.integers(-2, 3, size=(12, p)).astype(float)
+    elif kind == "duplicates":
+        copies = draw(st.integers(2, 14))
+        refs = np.repeat(rng.normal(size=(-(-n // copies), p)), copies, axis=0)[:n]
+        refs *= 1.0 + np.finfo(float).eps * rng.integers(-4, 5, size=(n, 1))
+        near = refs[rng.integers(0, n, size=6)]
+        queries = np.vstack([near, near + rng.normal(size=(6, p)) * 1e-9])
+    elif kind == "scaled":
+        scale = draw(st.sampled_from([1e-160, 1e-150, 1e149, 1e150]))
+        refs = rng.normal(size=(n, p)) * scale
+        queries = rng.normal(size=(12, p)) * scale
+    else:
+        refs = rng.normal(size=(n, p))
+        queries = rng.normal(size=(12, p)) * draw(st.sampled_from([1e3, 1e8, 1e149, 1e200]))
+    k = draw(st.sampled_from([1, 2, n]))
+    labels = rng.integers(0, 3, size=n)
+    return refs, labels, min(k, n), queries
+
+
+class TestDifferential:
+    @given(problem=routing_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_route_many_is_bit_equal_to_oracle(self, problem):
+        refs, labels, k, queries = problem
+        router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(refs.shape[1]))
+        with np.errstate(over="ignore"):
+            routed, dists = router.route_many(queries, return_distance=True)
+            expected = [oracle_route(refs, labels, k, z) for z in queries]
+            nearest = [oracle_nearest_distance(refs, z) for z in queries]
+        assert routed.tolist() == expected
+        # bit patterns, not values: score --trace writes repr of each one
+        assert np.array_equal(dists.view(np.int64), np.array(nearest).view(np.int64))
 
 
 class TestValidation:
