@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,6 +117,25 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _parse_columns(rows: list[list[str]], columns: list[int],
+                   header: list[str]) -> np.ndarray:
+    """The given columns of every row as an (n, len(columns)) float matrix.
+
+    numpy converts each cell with Python's ``float``, which strips the same
+    whitespace ``_parse_cell`` does, so the bulk parse yields the same bits.
+    Only when it fails or yields a non-finite value does the per-cell parse
+    run, to raise for the first bad cell in row order, columns as given.
+    """
+    try:
+        values = np.array(list(map(operator.itemgetter(*columns), rows)), dtype=float)
+    except ValueError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values.reshape(len(rows), len(columns))
+    return np.array([[_parse_cell(row[j], i, header[j]) for j in columns]
+                     for i, row in enumerate(rows, start=1)])
+
+
 def _column_indices(header: list[str], wanted: list[str], path) -> list[int]:
     pos = {name: j for j, name in reversed(list(enumerate(header)))}
     missing = [c for c in wanted if c not in pos]
@@ -146,14 +166,9 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None)
         ]
         if not feat_idx:
             raise InputError(f"{path}: no numeric feature columns besides {target_column!r}")
-    X = np.empty((len(rows), len(feat_idx)))
-    y = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        y[i] = _parse_cell(row[target_idx], i + 1, target_column)
-        for out_j, j in enumerate(feat_idx):
-            X[i, out_j] = _parse_cell(row[j], i + 1, header[j])
+    values = _parse_columns(rows, [target_idx, *feat_idx], header)
     names = tuple(header[j] for j in feat_idx)
-    return Dataset(X, y, names, target_column)
+    return Dataset(values[:, 1:], values[:, 0], names, target_column)
 
 
 def load_feature_csv(path, feature_columns: list[str] | None = None,
@@ -164,6 +179,8 @@ def load_feature_csv(path, feature_columns: list[str] | None = None,
     """
     header, rows = _read_table(path)
     if feature_columns is not None:
+        if not feature_columns:
+            raise InputError(f"{path}: feature_columns must not be empty")
         feat_idx = _column_indices(header, list(feature_columns), path)
     else:
         feat_idx = [
@@ -172,10 +189,7 @@ def load_feature_csv(path, feature_columns: list[str] | None = None,
         ]
         if not feat_idx:
             raise InputError(f"{path}: no numeric feature columns found")
-    X = np.empty((len(rows), len(feat_idx)))
-    for i, row in enumerate(rows):
-        for out_j, j in enumerate(feat_idx):
-            X[i, out_j] = _parse_cell(row[j], i + 1, header[j])
+    X = _parse_columns(rows, feat_idx, header)
     return X, tuple(header[j] for j in feat_idx)
 
 
@@ -185,8 +199,10 @@ def write_csv(ds: Dataset, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [ds.target_name])
-        for i in range(ds.n_rows):
-            writer.writerow([repr(float(v)) for v in ds.features[i]] + [repr(float(ds.target[i]))])
+        writer.writerows(
+            features + [target]
+            for features, target in zip(ds.features.tolist(), ds.target.tolist())
+        )
 
 
 def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

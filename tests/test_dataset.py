@@ -1,5 +1,8 @@
 """Tests for CSV loading, splitting, and standardization."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +162,84 @@ class TestCsv:
         back = load_csv(path, "y")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.target, ds.target)
+
+
+def reference_cell(text, row, column):
+    """The per-cell parse every CSV loader must agree with, bit for bit."""
+    s = text.strip()
+    if s == "":
+        raise CellError(f"empty cell at row {row}, column {column!r}")
+    try:
+        value = float(s)
+    except ValueError:
+        raise CellError(f"non-numeric value {text!r} at row {row}, column {column!r}") from None
+    if not math.isfinite(value):
+        raise CellError(f"non-finite value {text!r} at row {row}, column {column!r}")
+    return value
+
+
+def reference_parse(rows, columns, header):
+    """Row by row, cells in the order of ``columns``; raises for the first bad one."""
+    return np.array([[reference_cell(row[j], i, header[j]) for j in columns]
+                     for i, row in enumerate(rows, start=1)])
+
+
+WHITESPACE = st.text(alphabet=" \t\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000", max_size=2)
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(["1_0", "-1_000.5", "+7", "-0", ".5", "5.", "1E-3", "\u0661\u0662",
+                     "\uff13", "1e-400"]),
+)
+HOSTILE = st.one_of(
+    st.sampled_from(["", "nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "1e400",
+                     "-1e400", "1__0", "_1", "1_", "0x10", "--1", "1e", ".", "abc",
+                     "1,5", '"2"', "1\n2"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=4),
+)
+
+
+@st.composite
+def tables(draw):
+    n_cols = draw(st.integers(2, 4))
+    n_rows = draw(st.integers(1, 5))
+    body = NUMBER if draw(st.booleans()) else st.one_of(NUMBER, HOSTILE)
+    cell = st.tuples(WHITESPACE, body, WHITESPACE).map("".join)
+    rows = [[draw(cell) for _ in range(n_cols)] for _ in range(n_rows)]
+    header = [f"c{j}" for j in range(n_cols)]
+    target = draw(st.integers(0, n_cols - 1))
+    features = draw(st.permutations([j for j in range(n_cols) if j != target]))
+    return header, rows, target, features
+
+
+class TestCsvDifferential:
+    @given(table=tables())
+    @settings(max_examples=300, deadline=None)
+    def test_loaders_match_per_cell_parse(self, tmp_path_factory, table):
+        header, rows, target, features = table
+        path = tmp_path_factory.mktemp("csv") / "cells.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        names = [header[j] for j in features]
+        cases = [
+            (lambda: load_csv(path, header[target], names), [target, *features]),
+            (lambda: load_feature_csv(path, names), features),
+        ]
+        for load, columns in cases:
+            try:
+                expected = reference_parse(rows, columns, header)
+            except CellError as err:
+                with pytest.raises(CellError) as got:
+                    load()
+                assert str(got.value) == str(err)
+                continue
+            got = load()
+            if isinstance(got, Dataset):
+                got = np.column_stack([got.target, got.features])
+            else:
+                got = got[0]
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSplit:
