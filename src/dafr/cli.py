@@ -22,13 +22,16 @@ import numpy as np
 
 from .dataset import load_csv, load_feature_csv, train_test_split, write_csv
 from .errors import DafrError, InputError
-from .experiments import compare_run, summarize_compare
 from .metrics import write_profile_csv
 from .pipeline import SegmentSpec, dafr_score, dafr_train, diagnose, load_model, save_model
 from .simfn import SegmentLabel
 from .synth import KINDS, SynthConfig, generate
 
 log = logging.getLogger("dafr")
+
+# training rows the summary routes leave-one-out; each costs one scan of
+# the references, so the summary is O(SUMMARY_ROWS * n * p), not O(n^2 * p)
+SUMMARY_ROWS = 2000
 
 DEFAULTS = {
     "train": {
@@ -184,6 +187,48 @@ def write_effective_config(command: str, cfg: dict, out: Path, extra: dict | Non
     return path
 
 
+def train_summary(model, train_ds, n_bins: int, seed: int) -> list[str]:
+    """Summary lines for a freshly trained model.
+
+    Baseline and routed figures come from the same rows: all training rows,
+    or SUMMARY_ROWS of them drawn with ``seed``. Each row is routed with
+    itself left out of the references, so "routed" is not an in-sample
+    figure.
+    """
+    n = train_ds.n_rows
+    if n <= SUMMARY_ROWS:
+        rows = np.arange(n)
+        label = f"leave-one-out on all {n} training rows"
+    else:
+        rows = np.sort(np.random.default_rng(seed).choice(n, SUMMARY_ROWS, replace=False))
+        label = f"leave-one-out on {SUMMARY_ROWS} of {n} training rows (seed {seed})"
+    report = diagnose(model, train_ds.take(rows), n_bins,
+                      routed=model.router.route_left_out(rows))
+    sizes = [int(c) for c in np.bincount(model.router.labels, minlength=3)]
+    lines = [
+        f"rows: {n}, features: {train_ds.n_features}",
+        f"segments: front={sizes[0]}, mid={sizes[1]}, back={sizes[2]} "
+        f"(t_front={_fmt(model.spec.t_front)}, t_back={_fmt(model.spec.t_back)})",
+        f"routed figures: {label}",
+        f"mape: baseline {_fmt(report.baseline_mape)}, routed {_fmt(report.dafr_mape)}",
+        f"rmse: baseline {_fmt(report.baseline_rmse)}, routed {_fmt(report.dafr_rmse)}",
+        f"mad: baseline {_fmt(report.baseline_mad)}, routed {_fmt(report.dafr_mad)}",
+    ]
+    for name, tub in (("baseline", report.baseline_bathtub),
+                      ("routed", report.dafr_bathtub)):
+        if tub is None:
+            lines.append(f"bathtub {name}: n/a (bins != 10)")
+        else:
+            lines.append(
+                f"bathtub {name}: {'yes' if tub.is_bathtub else 'no'} "
+                f"(front {_fmt(tub.front_mean)}, mid {_fmt(tub.mid_mean)}, "
+                f"back {_fmt(tub.back_mean)})"
+            )
+    if report.dafr_mape > report.baseline_mape:
+        lines.append("routed is worse than baseline on these rows (mape)")
+    return lines
+
+
 def cmd_train(cfg: dict) -> int:
     _require(cfg, "data", "target")
     ds = load_csv(cfg["data"], cfg["target"], _feature_list(cfg))
@@ -207,26 +252,7 @@ def cmd_train(cfg: dict) -> int:
     write_profile_csv(model.train_profile_before, before_path)
     write_profile_csv(model.train_profile_after, after_path)
 
-    report = diagnose(model, train_ds, n_bins=cfg["bins"])
-    sizes = [int(c) for c in np.bincount(model.router.labels, minlength=3)]
-    lines = [
-        f"rows: {train_ds.n_rows}, features: {train_ds.n_features}",
-        f"segments: front={sizes[0]}, mid={sizes[1]}, back={sizes[2]} "
-        f"(t_front={_fmt(model.spec.t_front)}, t_back={_fmt(model.spec.t_back)})",
-        f"mape: baseline {_fmt(report.baseline_mape)}, routed {_fmt(report.dafr_mape)}",
-        f"rmse: baseline {_fmt(report.baseline_rmse)}, routed {_fmt(report.dafr_rmse)}",
-        f"mad: baseline {_fmt(report.baseline_mad)}, routed {_fmt(report.dafr_mad)}",
-    ]
-    for name, tub in (("baseline", report.baseline_bathtub),
-                      ("routed", report.dafr_bathtub)):
-        if tub is None:
-            lines.append(f"bathtub {name}: n/a (bins != 10)")
-        else:
-            lines.append(
-                f"bathtub {name}: {'yes' if tub.is_bathtub else 'no'} "
-                f"(front {_fmt(tub.front_mean)}, mid {_fmt(tub.mid_mean)}, "
-                f"back {_fmt(tub.back_mean)})"
-            )
+    lines = train_summary(model, train_ds, cfg["bins"], cfg["seed"])
     if holdout_path is not None:
         lines.append(f"holdout rows written to {holdout_path} (not used for training)")
     summary_path = out_dir / (out.with_suffix("").name + ".summary.txt")
@@ -309,6 +335,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_compare(cfg: dict) -> int:
+    # only compare needs the experiments module; other commands skip its import
+    from .experiments import compare_run, summarize_compare
+
     seeds = _parse_seeds(cfg["seeds"])
     spec = SegmentSpec(q_front=cfg["q_front"], q_back=cfg["q_back"])
     if cfg["data"] is not None:

@@ -15,6 +15,8 @@ from .errors import CellError, InputError
 # 10 deciles need at least a few rows each; anything smaller makes the
 # decile diagnostics meaningless.
 MIN_TRAIN_ROWS = 30
+# data rows write_csv formats per write call
+_WRITE_ROWS = 4096
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -194,15 +196,20 @@ def load_feature_csv(path, feature_columns: list[str] | None = None,
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Write features then target, floats in shortest round-trip form."""
+    """Write features then target, floats in shortest round-trip form.
+
+    The bytes are those of ``csv.writer``, which writes a float as its
+    ``repr`` (never quoted, since a finite float's repr holds no comma or
+    quote) and ends lines with CRLF; the data rows are formatted a block
+    at a time without it, which is faster.
+    """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [ds.target_name])
-        writer.writerows(
-            features + [target]
-            for features, target in zip(ds.features.tolist(), ds.target.tolist())
-        )
+        csv.writer(fh).writerow(list(ds.feature_names) + [ds.target_name])
+        for lo in range(0, ds.n_rows, _WRITE_ROWS):
+            block = np.column_stack([ds.features[lo:lo + _WRITE_ROWS],
+                                     ds.target[lo:lo + _WRITE_ROWS]])
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block.tolist()]))
 
 
 def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

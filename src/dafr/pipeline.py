@@ -319,29 +319,38 @@ class DiagnoseReport:
         }
 
 
-def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10) -> DiagnoseReport:
+def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10,
+             routed=None) -> DiagnoseReport:
     """Profile baseline and routed predictions side by side on eval data.
 
-    Bathtub summaries are omitted (None) when the bin count is not 10.
-    Confusion rows are the true segment of each eval target under the
-    trained thresholds; columns are the router's choice.
+    ``routed`` gives each eval row's segment code when the caller has
+    already routed the rows (the training summary routes them leave-one-out);
+    by default the model's router routes them. Bathtub summaries are omitted
+    (None) when the bin count is not 10. Confusion rows are the true segment
+    of each eval target under the trained thresholds; columns are the
+    routed segment.
     """
     X, y = eval_data.features, eval_data.target
+    if routed is None:
+        routed = dafr_score(model, X).segments
+    routed = np.asarray(routed, dtype=int)
+    if routed.shape != (eval_data.n_rows,):
+        raise ValueError(f"{routed.shape} routed labels for {eval_data.n_rows} rows")
     base_pred = model.baseline.predict(X)
-    routed = dafr_score(model, X)
+    dafr_pred = _predict_by_segment((model.front, model.mid, model.back), X, routed)
     base_profile = decile_mape_profile(y, base_pred, n_bins)
-    dafr_profile = decile_mape_profile(y, routed.predictions, n_bins)
+    dafr_profile = decile_mape_profile(y, dafr_pred, n_bins)
     true_labels = segment_assign(y, model.spec)
-    confusion = np.bincount(3 * true_labels + routed.segments, minlength=9).reshape(3, 3)
+    confusion = np.bincount(3 * true_labels + routed, minlength=9).reshape(3, 3)
     ten = n_bins == 10
     return DiagnoseReport(
         n_rows=eval_data.n_rows,
         baseline_mape=mape(y, base_pred),
-        dafr_mape=mape(y, routed.predictions),
+        dafr_mape=mape(y, dafr_pred),
         baseline_rmse=rmse(y, base_pred),
-        dafr_rmse=rmse(y, routed.predictions),
+        dafr_rmse=rmse(y, dafr_pred),
         baseline_mad=mad(y, base_pred),
-        dafr_mad=mad(y, routed.predictions),
+        dafr_mad=mad(y, dafr_pred),
         baseline_profile=base_profile,
         dafr_profile=dafr_profile,
         baseline_bathtub=bathtub_report(base_profile) if ten else None,

@@ -13,6 +13,10 @@ scan. A per-query error bound certifies that no reference outside the
 candidates can enter the top k; a query that fails the certificate is
 routed by the full scan, so the result is bit-identical to scanning every
 reference for every query.
+
+A reference row can also be routed leave-one-out, as if it were not among
+the references: this is how a training summary reports routing without
+counting each row as its own nearest neighbour.
 """
 
 from __future__ import annotations
@@ -170,22 +174,28 @@ class KnnRouter:
             raise ValueError("query contains NaN or infinite values")
         return self.scaler.transform(X)
 
+    def _blocks(self, Z: np.ndarray, k: int):
+        """Yield (block slice, k nearest rows, smallest squared distance)
+        for consecutive blocks of standardized queries."""
+        refs = self.reference_points
+        ref_sq = np.einsum("ij,ij->i", refs, refs)
+        step = max(1, _BLOCK_CELLS // refs.shape[0])
+        work = np.empty((min(step, Z.shape[0]), refs.shape[0]))
+        for lo in range(0, Z.shape[0], step):
+            block = slice(lo, lo + step)
+            yield (block, *_k_nearest(refs, ref_sq, Z[block], k, work))
+
     def _route(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Labels and nearest-reference distances for standardized rows.
 
         ``route`` and ``route_many`` both call this, so neither public
         method runs inside the other.
         """
-        refs = self.reference_points
-        ref_sq = np.einsum("ij,ij->i", refs, refs)
         labels = np.empty(Z.shape[0], dtype=int)
         dists = np.empty(Z.shape[0])
-        step = max(1, _BLOCK_CELLS // refs.shape[0])
-        work = np.empty((min(step, Z.shape[0]), refs.shape[0]))
-        for lo in range(0, Z.shape[0], step):
-            top, nearest_sq = _k_nearest(refs, ref_sq, Z[lo:lo + step], self.k, work)
-            labels[lo:lo + step] = _majority(self.labels[top])
-            dists[lo:lo + step] = np.sqrt(nearest_sq)
+        for block, top, nearest_sq in self._blocks(Z, self.k):
+            labels[block] = _majority(self.labels[top])
+            dists[block] = np.sqrt(nearest_sq)
         return labels, dists
 
     def route(self, x) -> SegmentLabel:
@@ -199,6 +209,30 @@ class KnnRouter:
         labels, dists = self._route(self._standardize(features))
         if return_distance:
             return labels, dists
+        return labels
+
+    def route_left_out(self, rows) -> np.ndarray:
+        """Label for each given reference row, voted by its nearest other
+        references: the row is routed as if it had been left out.
+
+        Each row takes its k + 1 nearest references (at most all of them)
+        and drops only its own index, so a duplicate at distance 0 stays a
+        neighbour; when the row itself is not among them, the first k are
+        kept. The vote then uses min(k, n - 1) neighbours and the usual tie
+        rule.
+        """
+        rows = np.asarray(rows, dtype=int).ravel()
+        n = self.n_references
+        if n < 2:
+            raise ValueError("leave-one-out routing needs at least 2 reference rows")
+        if rows.size and not (0 <= rows.min() and rows.max() < n):
+            raise ValueError(f"reference rows must lie in [0, {n - 1}]")
+        k = min(self.k + 1, n)
+        labels = np.empty(rows.shape[0], dtype=int)
+        for block, top, _ in self._blocks(self.reference_points[rows], k):
+            keep = top != rows[block, None]
+            keep[keep.all(axis=1), -1] = False
+            labels[block] = _majority(self.labels[top[keep].reshape(-1, k - 1)])
         return labels
 
     def to_json(self) -> dict:

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dafr.cli import main
+import dafr
+from dafr import simfn
+from dafr.cli import SUMMARY_ROWS, main
 
 
 @pytest.fixture
@@ -128,6 +133,57 @@ class TestTrain:
         before = (workdir / "pw.csv").read_bytes()
         assert run("train", "--data", "pw.csv", "--target", "y") == 0
         assert (workdir / "pw.csv").read_bytes() == before
+
+
+class TestTrainSummary:
+    def test_rows_are_routed_leave_one_out(self, workdir):
+        make_data(n=200)
+        assert run("train", "--data", "pw.csv", "--target", "y", "--k", "1",
+                   "--out", "model.json") == 0
+        lines = (workdir / "model.summary.txt").read_text().splitlines()
+        assert lines[2] == "routed figures: leave-one-out on all 200 training rows"
+        # in-sample routing with k = 1 sends every row to its own segment,
+        # which is what profile_after records; left out, rows can be misrouted
+        after = read_rows("pw.profile_after.csv")[1:]
+        in_sample = sum(int(r[1]) * float(r[4]) for r in after) / 200
+        routed = next(line for line in lines if line.startswith("mape: "))
+        assert float(routed.rsplit(" ", 1)[1]) != pytest.approx(in_sample, rel=1e-5)
+
+    def test_large_input_routes_a_fixed_sample(self, workdir, monkeypatch):
+        n = SUMMARY_ROWS + 500
+        make_data(n=n)
+        queries = []
+        k_nearest = simfn._k_nearest
+
+        def counting(refs, ref_sq, Z, k, work):
+            queries.append(Z.shape[0])
+            return k_nearest(refs, ref_sq, Z, k, work)
+
+        monkeypatch.setattr(simfn, "_k_nearest", counting)
+        assert run("train", "--data", "pw.csv", "--target", "y", "--seed", "4",
+                   "--out", "model.json") == 0
+        assert sum(queries) == SUMMARY_ROWS
+        summary = (workdir / "model.summary.txt").read_text()
+        assert (f"routed figures: leave-one-out on {SUMMARY_ROWS} of {n} "
+                f"training rows (seed 4)") in summary
+
+    def test_says_when_routing_loses(self, workdir):
+        make_data("ht.csv", n=300, kind="hetero_tails", seed=1)
+        assert run("train", "--data", "ht.csv", "--target", "y", "--out", "ht.json") == 0
+        summary = (workdir / "ht.summary.txt").read_text()
+        assert "routed is worse than baseline on these rows" in summary
+        make_data(n=300)
+        assert run("train", "--data", "pw.csv", "--target", "y", "--out", "pw.json") == 0
+        assert "worse" not in (workdir / "pw.summary.txt").read_text()
+
+    def test_cli_import_does_not_load_experiments(self):
+        src = str(Path(dafr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, dafr.cli; print('dafr.experiments' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestScore:

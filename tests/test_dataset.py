@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +163,45 @@ class TestCsv:
         back = load_csv(path, "y")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.target, ds.target)
+
+
+def reference_write(ds, path):
+    """The csv.writer output write_csv must reproduce byte for byte."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(ds.feature_names) + [ds.target_name])
+        writer.writerows(f + [t] for f, t in zip(ds.features.tolist(), ds.target.tolist()))
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 1e16, 1e308,
+                     -1e308, 3.0, -12345678.0, 2.0**53, 0.1]),
+)
+NAMES = st.text(alphabet='ab ,"\'\n\r\u00e9', min_size=1, max_size=5)
+
+
+class TestWriteCsv:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 12))
+        p = data.draw(st.integers(1, 4))
+        X = data.draw(arrays(np.float64, (n, p), elements=FINITE))
+        y = data.draw(arrays(np.float64, (n,), elements=FINITE))
+        names = tuple(data.draw(NAMES) for _ in range(p))
+        ds = Dataset(X, y, names, data.draw(NAMES))
+        folder = tmp_path_factory.mktemp("write")
+        write_csv(ds, folder / "got.csv")
+        reference_write(ds, folder / "want.csv")
+        assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+    def test_bytes_equal_csv_writer_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("dafr.dataset._WRITE_ROWS", 7)
+        ds = make_ds(n=30, p=3, seed=5)
+        write_csv(ds, tmp_path / "got.csv")
+        reference_write(ds, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def reference_cell(text, row, column):

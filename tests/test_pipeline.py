@@ -286,6 +286,19 @@ class TestDiagnose:
         assert report.baseline_bathtub is None and report.dafr_bathtub is None
         assert report.baseline_profile.n_bins == 5
 
+    def test_given_routed_labels_replace_the_router(self):
+        ds = piecewise(seed=3)
+        model = dafr_train(ds)
+        routed = model.router.route_many(ds.features)
+        assert diagnose(model, ds, routed=routed).to_json() == diagnose(model, ds).to_json()
+        oracle = segment_assign(ds.target, model.spec)
+        report = diagnose(model, ds, routed=oracle)
+        assert np.array_equal(report.confusion, np.diag(np.bincount(oracle, minlength=3)))
+        assert report.dafr_mape == mape(ds.target, dafr_score_oracle(model, ds.features,
+                                                                     ds.target))
+        with pytest.raises(ValueError, match="routed labels"):
+            diagnose(model, ds, routed=oracle[1:])
+
     def test_json_report_shape(self):
         ds = piecewise(seed=2)
         model = dafr_train(ds)

@@ -208,6 +208,68 @@ class TestDifferential:
         assert np.array_equal(dists.view(np.int64), np.array(nearest).view(np.int64))
 
 
+def left_out_oracle(refs, labels, k, i):
+    """Delete reference row i and route it through the smaller router."""
+    others = np.arange(len(refs)) != i
+    router = KnnRouter(refs[others], labels[others], k=min(k, len(refs) - 1),
+                       scaler=identity_scaler(refs.shape[1]))
+    return int(router.route(refs[i]))
+
+
+# reference sets where a row's own index need not come first among its
+# nearest: exact duplicates and tie-heavy integer grids
+@st.composite
+def left_out_problems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["grid", "duplicates", "scaled"]))
+    p = draw(st.integers(1, 3 if kind == "grid" else 12))
+    if kind == "grid":
+        refs = rng.integers(-1, 2, size=(n, p)).astype(float)
+    elif kind == "duplicates":
+        copies = draw(st.integers(2, 10))
+        refs = np.repeat(rng.normal(size=(-(-n // copies), p)), copies, axis=0)[:n]
+        refs *= 1.0 + np.finfo(float).eps * rng.integers(-2, 3, size=(n, 1))
+    else:
+        refs = rng.normal(size=(n, p)) * draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    k = draw(st.sampled_from([1, 2, n - 1, n]))
+    labels = rng.integers(0, 3, size=n)
+    rows = rng.permutation(n)[:draw(st.integers(1, n))]
+    return refs, labels, k, rows
+
+
+class TestLeaveOneOut:
+    def test_duplicate_at_distance_zero_stays_a_neighbour(self):
+        router = KnnRouter([[0.0], [0.0], [5.0]], [F, B, F], k=1,
+                           scaler=identity_scaler(1))
+        assert router.route_left_out([0, 1, 2]).tolist() == [int(B), int(F), int(F)]
+
+    def test_own_row_beyond_k_plus_one_keeps_first_k(self):
+        # rows 0-2 are equal, so row 2 is third among its nearest and
+        # not among its k + 1 = 2 nearest
+        router = KnnRouter([[1.0], [1.0], [1.0], [3.0]], [M, M, B, B], k=1,
+                           scaler=identity_scaler(1))
+        assert router.route_left_out([2]).tolist() == [int(M)]
+
+    @given(problem=left_out_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_deleting_the_row(self, problem):
+        refs, labels, k, rows = problem
+        router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(refs.shape[1]))
+        expected = [left_out_oracle(refs, labels, k, i) for i in rows]
+        assert router.route_left_out(rows).tolist() == expected
+
+    def test_rejects_bad_rows_and_single_reference(self):
+        router = knn_fit([[0.0], [1.0], [2.0]], [F, M, B], k=1)
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            router.route_left_out([3])
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            router.route_left_out([-1])
+        single = KnnRouter([[0.0]], [F], k=1, scaler=identity_scaler(1))
+        with pytest.raises(ValueError, match="at least 2 reference rows"):
+            single.route_left_out([0])
+
+
 class TestValidation:
     def test_k_bounds(self):
         refs = np.zeros((10, 1)) + np.arange(10)[:, None]
