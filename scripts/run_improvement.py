@@ -7,9 +7,10 @@ oracle that routes by true segment (the routing-error-free ceiling).
 """
 
 import argparse
+from dataclasses import replace
 
-from dafr.experiments import improvement_runs, summarize_compare
-from dafr.synth import SynthConfig
+from dafr.experiments import compare_run, summarize_compare
+from dafr.synth import SynthConfig, generate
 
 
 def main() -> None:
@@ -25,9 +26,9 @@ def main() -> None:
 
     config = SynthConfig(kind="piecewise_three", n=args.n, p=args.p,
                          noise_sigma=args.sigma)
-    runs = improvement_runs(range(args.seeds), config,
-                            test_fraction=args.test_fraction,
-                            k=args.k, ridge=args.ridge)
+    runs = [compare_run(generate(replace(config, seed=seed)), seed,
+                        test_fraction=args.test_fraction, k=args.k, ridge=args.ridge)
+            for seed in range(args.seeds)]
 
     print(f"{'seed':>4}  {'baseline':>9}  {'routed':>9}  {'oracle':>9}  "
           f"{'front':>16}  {'back':>16}  win")

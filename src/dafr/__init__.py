@@ -35,7 +35,6 @@ from .metrics import (
     mad,
     mape,
     quantile,
-    read_profile_csv,
     rmse,
     write_profile_csv,
 )
@@ -44,6 +43,7 @@ from .pipeline import (
     DiagnoseReport,
     ScoreResult,
     SegmentSpec,
+    SideReport,
     dafr_score,
     dafr_score_oracle,
     dafr_train,
@@ -74,6 +74,7 @@ __all__ = [
     "SegmentLabel",
     "SegmentSizeError",
     "SegmentSpec",
+    "SideReport",
     "SynthConfig",
     "WidthMismatchError",
     "ZeroTargetError",
@@ -95,7 +96,6 @@ __all__ = [
     "mape",
     "ols_fit",
     "quantile",
-    "read_profile_csv",
     "rmse",
     "save_model",
     "segment_assign",

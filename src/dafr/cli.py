@@ -33,6 +33,7 @@ log = logging.getLogger("dafr")
 # the references, so the summary is O(SUMMARY_ROWS * n * p), not O(n^2 * p)
 SUMMARY_ROWS = 2000
 
+# command -> option -> builtin default; key order is the --help flag order
 DEFAULTS = {
     "train": {
         "data": None, "target": None, "features": None,
@@ -41,7 +42,7 @@ DEFAULTS = {
     },
     "score": {
         "model": None, "data": None, "target": None, "features": None,
-        "trace": False, "out": None,
+        "out": None, "trace": False,
     },
     "diagnose": {
         "model": None, "data": None, "target": None, "features": None,
@@ -60,6 +61,37 @@ DEFAULTS = {
     },
 }
 
+# flag name -> (type, help); bool flags get --name/--no-name
+OPTIONS = {
+    "data": (str, "input CSV with a header row"),
+    "model": (str, "trained model JSON"),
+    "target": (str, "target column name"),
+    "features": (str, "comma-separated feature columns (default: all numeric non-target)"),
+    "q_front": (float, "front segment quantile"),
+    "q_back": (float, "back segment quantile"),
+    "k": (int, "router neighbor count"),
+    "ridge": (float, "ridge penalty on coefficients"),
+    "test_fraction": (float, "held-out fraction of rows"),
+    "seed": (int, "random seed"),
+    "bins": (int, "profile bin count"),
+    "out": (str, "output path"),
+    "trace": (bool, "add nearest-neighbor distance column"),
+    "kind": (str, f"generator kind: {', '.join(KINDS)}"),
+    "synth_kind": (str, f"generator kind: {', '.join(KINDS)}"),
+    "n": (int, "rows to generate"),
+    "p": (int, "feature columns to generate"),
+    "sigma": (float, "noise standard deviation"),
+    "seeds": (str, "comma-separated seed list"),
+}
+
+COMMAND_HELP = {
+    "train": "fit baseline, segment models, and router",
+    "score": "predict with a trained model",
+    "diagnose": "baseline-vs-routed error report",
+    "synth": "generate a synthetic dataset CSV",
+    "compare": "baseline-vs-routed over many seeds",
+}
+
 
 class UsageError(Exception):
     """Post-parse validation failure; maps to exit code 2."""
@@ -69,66 +101,28 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _add_common(sub, *names):
-    """Register shared flags; defaults stay None so the config merge can
-    tell explicit flags from unset ones."""
-    opts = {
-        "data": (str, "input CSV with a header row"),
-        "model": (str, "trained model JSON"),
-        "target": (str, "target column name"),
-        "features": (str, "comma-separated feature columns (default: all numeric non-target)"),
-        "q_front": (float, "front segment quantile"),
-        "q_back": (float, "back segment quantile"),
-        "k": (int, "router neighbor count"),
-        "ridge": (float, "ridge penalty on coefficients"),
-        "test_fraction": (float, "held-out fraction of rows"),
-        "seed": (int, "random seed"),
-        "bins": (int, "profile bin count"),
-        "out": (str, "output path"),
-        "kind": (str, f"generator kind: {', '.join(KINDS)}"),
-        "synth_kind": (str, f"generator kind: {', '.join(KINDS)}"),
-        "n": (int, "rows to generate"),
-        "p": (int, "feature columns to generate"),
-        "sigma": (float, "noise standard deviation"),
-        "seeds": (str, "comma-separated seed list"),
-    }
-    for name in names:
-        typ, help_text = opts[name]
-        flag = "--" + name.replace("_", "-")
-        sub.add_argument(flag, dest=name, type=typ, default=None, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per COMMAND_HELP entry, one flag per DEFAULTS key.
+
+    Flag defaults stay None so the config merge can tell explicit flags
+    from unset ones.
+    """
     parser = argparse.ArgumentParser(
         prog="dafr",
         description="Segmented regression: per-decile error diagnostics, "
                     "front/mid/back models, KNN routing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    train = sub.add_parser("train", help="fit baseline, segment models, and router")
-    _add_common(train, "data", "target", "features", "q_front", "q_back", "k",
-                "ridge", "test_fraction", "seed", "bins", "out")
-
-    score = sub.add_parser("score", help="predict with a trained model")
-    _add_common(score, "model", "data", "target", "features", "out")
-    score.add_argument("--trace", dest="trace", action=argparse.BooleanOptionalAction,
-                       default=None, help="add nearest-neighbor distance column")
-
-    diag = sub.add_parser("diagnose", help="baseline-vs-routed error report")
-    _add_common(diag, "model", "data", "target", "features", "bins", "out")
-
-    synth = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    _add_common(synth, "kind", "n", "p", "sigma", "seed", "out")
-
-    compare = sub.add_parser("compare", help="baseline-vs-routed over many seeds")
-    _add_common(compare, "data", "target", "features", "synth_kind", "n", "p",
-                "sigma", "seeds", "q_front", "q_back", "k", "ridge",
-                "test_fraction", "bins", "out")
-
-    for p in (train, score, diag, synth, compare):
-        p.add_argument("--config", type=str, default=None,
-                       help="load option values from a saved effective-config JSON")
+    for command, command_help in COMMAND_HELP.items():
+        cmd = sub.add_parser(command, help=command_help)
+        for name in DEFAULTS[command]:
+            typ, help_text = OPTIONS[name]
+            kind = ({"action": argparse.BooleanOptionalAction} if typ is bool
+                    else {"type": typ})
+            cmd.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                             help=help_text, **kind)
+        cmd.add_argument("--config", type=str, default=None,
+                         help="load option values from a saved effective-config JSON")
     return parser
 
 
@@ -144,6 +138,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             saved = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise InputError(f"{path} is not valid JSON: {err}") from None
+        if not isinstance(saved, dict):
+            raise InputError(f"{path}: expected a JSON object at top level")
         if saved.get("command") != command:
             raise InputError(
                 f"{path} was written by {saved.get('command')!r}, not {command!r}"
@@ -173,18 +169,14 @@ def _feature_list(cfg: dict) -> list[str] | None:
     return names
 
 
-def _config_sidecar(out: Path) -> Path:
-    return out.with_suffix("").parent / (out.with_suffix("").name + ".config.json")
+def _beside(out: Path, suffix: str) -> Path:
+    """``out`` with its extension replaced: model.json -> model<suffix>."""
+    return out.parent / (out.with_suffix("").name + suffix)
 
 
-def write_effective_config(command: str, cfg: dict, out: Path, extra: dict | None = None) -> Path:
-    doc = {"command": command}
-    doc.update({k: cfg[k] for k in sorted(cfg)})
-    if extra:
-        doc.update(extra)
-    path = _config_sidecar(out)
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path
+def write_effective_config(command: str, cfg: dict, out: Path, extra: dict | None = None) -> None:
+    doc = {"command": command, **{k: cfg[k] for k in sorted(cfg)}, **(extra or {})}
+    _beside(out, ".config.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def train_summary(model, train_ds, n_bins: int, seed: int) -> list[str]:
@@ -205,17 +197,17 @@ def train_summary(model, train_ds, n_bins: int, seed: int) -> list[str]:
     report = diagnose(model, train_ds.take(rows), n_bins,
                       routed=model.router.route_left_out(rows))
     sizes = [int(c) for c in np.bincount(model.router.labels, minlength=3)]
+    base, routed = report.baseline, report.dafr
     lines = [
         f"rows: {n}, features: {train_ds.n_features}",
         f"segments: front={sizes[0]}, mid={sizes[1]}, back={sizes[2]} "
         f"(t_front={_fmt(model.spec.t_front)}, t_back={_fmt(model.spec.t_back)})",
         f"routed figures: {label}",
-        f"mape: baseline {_fmt(report.baseline_mape)}, routed {_fmt(report.dafr_mape)}",
-        f"rmse: baseline {_fmt(report.baseline_rmse)}, routed {_fmt(report.dafr_rmse)}",
-        f"mad: baseline {_fmt(report.baseline_mad)}, routed {_fmt(report.dafr_mad)}",
+        f"mape: baseline {_fmt(base.mape)}, routed {_fmt(routed.mape)}",
+        f"rmse: baseline {_fmt(base.rmse)}, routed {_fmt(routed.rmse)}",
+        f"mad: baseline {_fmt(base.mad)}, routed {_fmt(routed.mad)}",
     ]
-    for name, tub in (("baseline", report.baseline_bathtub),
-                      ("routed", report.dafr_bathtub)):
+    for name, tub in (("baseline", base.bathtub), ("routed", routed.bathtub)):
         if tub is None:
             lines.append(f"bathtub {name}: n/a (bins != 10)")
         else:
@@ -224,7 +216,7 @@ def train_summary(model, train_ds, n_bins: int, seed: int) -> list[str]:
                 f"(front {_fmt(tub.front_mean)}, mid {_fmt(tub.mid_mean)}, "
                 f"back {_fmt(tub.back_mean)})"
             )
-    if report.dafr_mape > report.baseline_mape:
+    if routed.mape > base.mape:
         lines.append("routed is worse than baseline on these rows (mape)")
     return lines
 
@@ -233,11 +225,10 @@ def cmd_train(cfg: dict) -> int:
     _require(cfg, "data", "target")
     ds = load_csv(cfg["data"], cfg["target"], _feature_list(cfg))
     out = Path(cfg["out"])
-    out_dir = out.parent
     holdout_path = None
     if cfg["test_fraction"] is not None:
         train_ds, test_ds = train_test_split(ds, cfg["test_fraction"], cfg["seed"])
-        holdout_path = out_dir / (out.with_suffix("").name + ".holdout.csv")
+        holdout_path = _beside(out, ".holdout.csv")
         write_csv(test_ds, holdout_path)
     else:
         train_ds = ds
@@ -247,15 +238,15 @@ def cmd_train(cfg: dict) -> int:
                        n_bins=cfg["bins"])
     save_model(model, out)
     stem = Path(cfg["data"]).with_suffix("").name
-    before_path = out_dir / f"{stem}.profile_before.csv"
-    after_path = out_dir / f"{stem}.profile_after.csv"
+    before_path = out.parent / f"{stem}.profile_before.csv"
+    after_path = out.parent / f"{stem}.profile_after.csv"
     write_profile_csv(model.train_profile_before, before_path)
     write_profile_csv(model.train_profile_after, after_path)
 
     lines = train_summary(model, train_ds, cfg["bins"], cfg["seed"])
     if holdout_path is not None:
         lines.append(f"holdout rows written to {holdout_path} (not used for training)")
-    summary_path = out_dir / (out.with_suffix("").name + ".summary.txt")
+    summary_path = _beside(out, ".summary.txt")
     summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     write_effective_config("train", cfg, out)
@@ -283,9 +274,7 @@ def cmd_score(cfg: dict) -> int:
             if cfg["trace"]:
                 row.append(repr(float(result.nearest_distance[i])))
             writer.writerow(row)
-    cfg = dict(cfg)
-    cfg["out"] = str(out)
-    write_effective_config("score", cfg, out)
+    write_effective_config("score", {**cfg, "out": str(out)}, out)
     log.info("wrote %s (%d rows)", out, result.predictions.shape[0])
     return 0
 
@@ -298,15 +287,13 @@ def cmd_diagnose(cfg: dict) -> int:
     out = Path(cfg["out"]) if cfg["out"] else Path(
         Path(cfg["data"]).with_suffix("").name + ".report.json")
     out.write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
-    pairs_path = out.with_suffix("").parent / (out.with_suffix("").name + ".profiles.csv")
+    pairs_path = _beside(out, ".profiles.csv")
     with pairs_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "baseline_mape", "dafr_mape"])
-        for b, d in zip(report.baseline_profile.bins, report.dafr_profile.bins):
+        for b, d in zip(report.baseline.profile.bins, report.dafr.profile.bins):
             writer.writerow([b.bin, repr(b.mape), repr(d.mape)])
-    cfg = dict(cfg)
-    cfg["out"] = str(out)
-    write_effective_config("diagnose", cfg, out)
+    write_effective_config("diagnose", {**cfg, "out": str(out)}, out)
     log.info("wrote %s and %s", out, pairs_path)
     return 0
 
@@ -317,9 +304,8 @@ def cmd_synth(cfg: dict) -> int:
     ds = generate(synth_config)
     out = Path(cfg["out"]) if cfg["out"] else Path(f"{cfg['kind']}.csv")
     write_csv(ds, out)
-    cfg = dict(cfg)
-    cfg["out"] = str(out)
-    write_effective_config("synth", cfg, out, extra={"generator": synth_config.to_json()})
+    write_effective_config("synth", {**cfg, "out": str(out)}, out,
+                           extra={"generator": synth_config.to_json()})
     log.info("wrote %s (%d rows)", out, ds.n_rows)
     return 0
 

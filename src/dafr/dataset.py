@@ -222,6 +222,8 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n = ds.n_rows
     n_test = int(round(n * test_fraction))
+    if n_test == 0:
+        raise ValueError(f"test_fraction {test_fraction} of {n} rows leaves no test rows")
     n_train = n - n_test
     if n_train < MIN_TRAIN_ROWS:
         raise ValueError(

@@ -1,9 +1,9 @@
 """Seeded experiment drivers comparing baseline and segmented fits.
 
 Three batteries: bathtub reproduction (does a single fit show tail-heavy
-decile error), held-out improvement (does routing beat the baseline), and
-robustness (does mid-distribution noise move held-out error less than
-tail outliers of the same row budget).
+decile error), held-out improvement (does routing beat the baseline; one
+``compare_run`` per seed), and robustness (does mid-distribution noise move
+held-out error less than tail outliers of the same row budget).
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .pipeline import (
 )
 from .simfn import SegmentLabel
 from .synth import SynthConfig, generate, inject_mid_noise, inject_tail_outliers
-
-DEFAULT_SEEDS = tuple(range(20))
 
 
 def segment_sse_margin(model: DafrModel, train: Dataset) -> float:
@@ -65,12 +63,9 @@ class BathtubRun:
     sse_margin: float
 
 
-def bathtub_runs(seeds: Iterable[int] = DEFAULT_SEEDS,
-                 config: SynthConfig | None = None,
+def bathtub_runs(seeds: Iterable[int], config: SynthConfig,
                  k: int = 5, ridge: float = 0.0) -> list[BathtubRun]:
     """Train on fresh data per seed; report the baseline profile shape."""
-    if config is None:
-        config = SynthConfig(kind="hetero_tails")
     runs = []
     for seed in seeds:
         ds = generate(replace(config, seed=seed))
@@ -109,22 +104,21 @@ class CompareRun:
 def compare_run(ds: Dataset, seed: int, test_fraction: float = 0.2,
                 k: int = 5, spec: SegmentSpec | None = None,
                 ridge: float = 0.0, n_bins: int = 10) -> CompareRun:
-    """Split, train, and evaluate one dataset; the ingredient behind both
-    the improvement battery and the CLI compare table."""
+    """Split, train, and evaluate one dataset: one row of the CLI compare
+    table and of the improvement script."""
     train, test = train_test_split(ds, test_fraction, seed=seed)
     model = dafr_train(train, ridge=ridge, k=k, spec=spec, n_bins=n_bins)
     report = diagnose(model, test, n_bins=n_bins)
+    base, routed = report.baseline, report.dafr
     oracle = mape(test.target, dafr_score_oracle(model, test.features, test.target))
     front_b = back_b = front_d = back_d = math.nan
-    if report.baseline_bathtub is not None:
-        front_b = report.baseline_bathtub.front_mean
-        back_b = report.baseline_bathtub.back_mean
-        front_d = report.dafr_bathtub.front_mean
-        back_d = report.dafr_bathtub.back_mean
+    if base.bathtub is not None:
+        front_b, back_b = base.bathtub.front_mean, base.bathtub.back_mean
+        front_d, back_d = routed.bathtub.front_mean, routed.bathtub.back_mean
     return CompareRun(
         seed=seed,
-        baseline_mape=report.baseline_mape,
-        dafr_mape=report.dafr_mape,
+        baseline_mape=base.mape,
+        dafr_mape=routed.mape,
         oracle_mape=oracle,
         baseline_front_mean=front_b,
         dafr_front_mean=front_d,
@@ -132,20 +126,6 @@ def compare_run(ds: Dataset, seed: int, test_fraction: float = 0.2,
         dafr_back_mean=back_d,
         sse_margin=segment_sse_margin(model, train),
     )
-
-
-def improvement_runs(seeds: Iterable[int] = DEFAULT_SEEDS,
-                     config: SynthConfig | None = None,
-                     test_fraction: float = 0.2, k: int = 5,
-                     spec: SegmentSpec | None = None,
-                     ridge: float = 0.0) -> list[CompareRun]:
-    if config is None:
-        config = SynthConfig(kind="piecewise_three")
-    return [
-        compare_run(generate(replace(config, seed=seed)), seed,
-                    test_fraction=test_fraction, k=k, spec=spec, ridge=ridge)
-        for seed in seeds
-    ]
 
 
 @dataclass(frozen=True)
@@ -171,15 +151,12 @@ class RobustnessRun:
         return self.mid_change < self.tail_change
 
 
-def robustness_runs(seeds: Iterable[int] = DEFAULT_SEEDS,
-                    config: SynthConfig | None = None,
+def robustness_runs(seeds: Iterable[int], config: SynthConfig,
                     test_fraction: float = 0.2, k: int = 5,
                     fraction: float = 0.05, magnitude: float = 4.0,
                     sigma: float = 1.0) -> list[RobustnessRun]:
     """Equal row budgets: round(fraction*n) rows get tail outliers in one
     arm and mid-distribution noise in the other."""
-    if config is None:
-        config = SynthConfig(kind="hetero_tails")
     runs = []
     for seed in seeds:
         ds = generate(replace(config, seed=seed))

@@ -120,15 +120,13 @@ class DecileProfile:
         return [b.to_json() for b in self.bins]
 
     @classmethod
-    def from_bins(cls, bins) -> "DecileProfile":
-        """Profile whose overall MAPE is the count-weighted mean of its bins."""
-        bins = tuple(bins)
-        total = sum(b.count for b in bins)
-        return cls(bins, sum(b.count * b.mape for b in bins) / total)
-
-    @classmethod
     def from_json(cls, rows: list[dict]) -> "DecileProfile":
-        return cls.from_bins(ProfileBin.from_json(r) for r in rows)
+        """Profile whose overall MAPE is the count-weighted mean of its bins."""
+        bins = tuple(ProfileBin.from_json(r) for r in rows)
+        total = sum(b.count for b in bins)
+        if total < 1:
+            raise ValueError("no profile rows")
+        return cls(bins, sum(b.count * b.mape for b in bins) / total)
 
 
 def decile_mape_profile(actual, predicted, n_bins: int = 10) -> DecileProfile:
@@ -208,13 +206,3 @@ def write_profile_csv(profile: DecileProfile, path) -> None:
         writer.writerow(PROFILE_HEADER)
         for b in profile.bins:
             writer.writerow([b.bin, b.count, repr(b.y_low), repr(b.y_high), repr(b.mape)])
-
-
-def read_profile_csv(path) -> DecileProfile:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = [ProfileBin(int(r["bin"]), int(r["count"]), float(r["y_low"]),
-                           float(r["y_high"]), float(r["mape"])) for r in reader]
-    if not rows:
-        raise ValueError(f"{path}: no profile rows")
-    return DecileProfile.from_bins(rows)

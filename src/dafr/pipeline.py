@@ -167,11 +167,10 @@ def _predict_by_segment(models, features: np.ndarray,
 
 
 def dafr_train(train: Dataset, ridge: float = 0.0, k: int = 5,
-               spec: SegmentSpec | None = None,
-               min_segment_rows: int | None = None, n_bins: int = 10) -> DafrModel:
+               spec: SegmentSpec | None = None, n_bins: int = 10) -> DafrModel:
     """Fit baseline, segment models, and router on one training set.
 
-    ``min_segment_rows`` defaults to p+2: one row above what the solver
+    Every segment needs at least p+2 rows: one row above what the solver
     needs, so a segment fit is never a pure interpolation. All targets
     equal is accepted with a warning; every row then lands in the front
     segment and all three segment models are that single fit.
@@ -179,8 +178,7 @@ def dafr_train(train: Dataset, ridge: float = 0.0, k: int = 5,
     if spec is None:
         spec = SegmentSpec()
     X, y, names = train.features, train.target, train.feature_names
-    if min_segment_rows is None:
-        min_segment_rows = train.n_features + 2
+    min_segment_rows = train.n_features + 2
 
     baseline = _fit_named(X, y, ridge, names, "baseline")
     profile_before = decile_mape_profile(y, baseline.predict(X), n_bins)
@@ -271,20 +269,31 @@ def dafr_score_oracle(model: DafrModel, features, y_true) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SideReport:
+    """Error figures of one set of predictions on the evaluation rows."""
+
+    mape: float
+    rmse: float
+    mad: float
+    profile: DecileProfile
+    bathtub: BathtubReport | None
+
+    @classmethod
+    def of(cls, y, pred, n_bins: int) -> "SideReport":
+        """Figures of ``pred`` against ``y``; the bathtub summary is None
+        when the bin count is not 10."""
+        profile = decile_mape_profile(y, pred, n_bins)
+        return cls(mape(y, pred), rmse(y, pred), mad(y, pred), profile,
+                   bathtub_report(profile) if n_bins == 10 else None)
+
+
+@dataclass(frozen=True)
 class DiagnoseReport:
     """Baseline vs routed comparison on one evaluation set."""
 
     n_rows: int
-    baseline_mape: float
-    dafr_mape: float
-    baseline_rmse: float
-    dafr_rmse: float
-    baseline_mad: float
-    dafr_mad: float
-    baseline_profile: DecileProfile
-    dafr_profile: DecileProfile
-    baseline_bathtub: BathtubReport | None
-    dafr_bathtub: BathtubReport | None
+    baseline: SideReport
+    dafr: SideReport
     confusion: np.ndarray
 
     def __post_init__(self):
@@ -295,23 +304,14 @@ class DiagnoseReport:
         object.__setattr__(self, "confusion", counts)
 
     def to_json(self) -> dict:
+        sides = {"baseline": self.baseline, "dafr": self.dafr}
         return {
             "n_rows": self.n_rows,
-            "overall": {
-                "baseline": {"mape": self.baseline_mape, "rmse": self.baseline_rmse,
-                             "mad": self.baseline_mad},
-                "dafr": {"mape": self.dafr_mape, "rmse": self.dafr_rmse,
-                         "mad": self.dafr_mad},
-            },
-            "bathtub": {
-                "baseline": None if self.baseline_bathtub is None
-                else self.baseline_bathtub.to_json(),
-                "dafr": None if self.dafr_bathtub is None else self.dafr_bathtub.to_json(),
-            },
-            "profiles": {
-                "baseline": self.baseline_profile.to_json(),
-                "dafr": self.dafr_profile.to_json(),
-            },
+            "overall": {name: {"mape": s.mape, "rmse": s.rmse, "mad": s.mad}
+                        for name, s in sides.items()},
+            "bathtub": {name: None if s.bathtub is None else s.bathtub.to_json()
+                        for name, s in sides.items()},
+            "profiles": {name: s.profile.to_json() for name, s in sides.items()},
             "confusion": {
                 "labels": [seg.tag for seg in SegmentLabel],
                 "true_by_routed": [[int(v) for v in row] for row in self.confusion],
@@ -325,10 +325,9 @@ def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10,
 
     ``routed`` gives each eval row's segment code when the caller has
     already routed the rows (the training summary routes them leave-one-out);
-    by default the model's router routes them. Bathtub summaries are omitted
-    (None) when the bin count is not 10. Confusion rows are the true segment
-    of each eval target under the trained thresholds; columns are the
-    routed segment.
+    by default the model's router routes them. Confusion rows are the true
+    segment of each eval target under the trained thresholds; columns are
+    the routed segment.
     """
     X, y = eval_data.features, eval_data.target
     if routed is None:
@@ -336,27 +335,12 @@ def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10,
     routed = np.asarray(routed, dtype=int)
     if routed.shape != (eval_data.n_rows,):
         raise ValueError(f"{routed.shape} routed labels for {eval_data.n_rows} rows")
-    base_pred = model.baseline.predict(X)
-    dafr_pred = _predict_by_segment((model.front, model.mid, model.back), X, routed)
-    base_profile = decile_mape_profile(y, base_pred, n_bins)
-    dafr_profile = decile_mape_profile(y, dafr_pred, n_bins)
+    baseline = SideReport.of(y, model.baseline.predict(X), n_bins)
+    dafr = SideReport.of(
+        y, _predict_by_segment((model.front, model.mid, model.back), X, routed), n_bins)
     true_labels = segment_assign(y, model.spec)
     confusion = np.bincount(3 * true_labels + routed, minlength=9).reshape(3, 3)
-    ten = n_bins == 10
-    return DiagnoseReport(
-        n_rows=eval_data.n_rows,
-        baseline_mape=mape(y, base_pred),
-        dafr_mape=mape(y, dafr_pred),
-        baseline_rmse=rmse(y, base_pred),
-        dafr_rmse=rmse(y, dafr_pred),
-        baseline_mad=mad(y, base_pred),
-        dafr_mad=mad(y, dafr_pred),
-        baseline_profile=base_profile,
-        dafr_profile=dafr_profile,
-        baseline_bathtub=bathtub_report(base_profile) if ten else None,
-        dafr_bathtub=bathtub_report(dafr_profile) if ten else None,
-        confusion=confusion,
-    )
+    return DiagnoseReport(eval_data.n_rows, baseline, dafr, confusion)
 
 
 def model_to_json(model: DafrModel) -> dict:

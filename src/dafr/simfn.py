@@ -49,6 +49,8 @@ class SegmentLabel(IntEnum):
 
     @classmethod
     def from_tag(cls, tag: str) -> "SegmentLabel":
+        if not isinstance(tag, str):
+            raise ValueError(f"segment tag must be a string, got {tag!r}")
         try:
             return cls[tag.upper()]
         except KeyError:

@@ -71,20 +71,6 @@ class SynthConfig:
             "tail_quantile": self.tail_quantile,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SynthConfig":
-        return cls(
-            kind=obj["kind"],
-            n=int(obj["n"]),
-            p=int(obj["p"]),
-            noise_sigma=float(obj["noise_sigma"]),
-            seed=int(obj["seed"]),
-            breakpoints=tuple(obj["breakpoints"]),
-            pieces=tuple(tuple(piece) for piece in obj["pieces"]),
-            tail_noise_factor=float(obj["tail_noise_factor"]),
-            tail_quantile=float(obj["tail_quantile"]),
-        )
-
 
 def _finish(X: np.ndarray, y: np.ndarray, p: int) -> Dataset:
     # keep every target at least 1 so percentage error stays defined

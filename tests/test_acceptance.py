@@ -9,13 +9,14 @@ import json
 import os
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dafr.cli import main
-from dafr.experiments import bathtub_runs, improvement_runs, robustness_runs
+from dafr.experiments import bathtub_runs, compare_run, robustness_runs
 from dafr.fitfn import ols_fit
 from dafr.metrics import decile_mape_profile, quantile
 from dafr.pipeline import dafr_score, dafr_train, load_model, model_to_json, save_model
@@ -44,8 +45,9 @@ def bathtub_battery():
 @pytest.fixture(scope="module")
 def improvement_battery():
     start = time.perf_counter()
-    runs = improvement_runs(SEEDS, SynthConfig(kind="piecewise_three", n=2000),
-                            test_fraction=0.2)
+    config = SynthConfig(kind="piecewise_three", n=2000)
+    runs = [compare_run(generate(replace(config, seed=seed)), seed, test_fraction=0.2)
+            for seed in SEEDS]
     return runs, time.perf_counter() - start
 
 

@@ -311,3 +311,47 @@ class TestParser:
         monkeypatch.setenv("DAFR_LOG", "debug")
         make_data("logged.csv", n=40)
         assert (workdir / "logged.csv").exists()
+
+
+def _config_file(content):
+    Path("hostile.json").write_text(content)
+    return ["train", "--config", "hostile.json"]
+
+
+def _model_file(edit):
+    make_data(n=200)
+    assert run("train", "--data", "pw.csv", "--target", "y", "--out", "model.json") == 0
+    doc = json.loads(Path("model.json").read_text())
+    edit(doc)
+    Path("model.json").write_text(json.dumps(doc))
+    return ["score", "--model", "model.json", "--data", "pw.csv", "--target", "y"]
+
+
+def _tiny_holdout():
+    make_data(n=200)
+    return ["train", "--data", "pw.csv", "--target", "y", "--test-fraction", "0.001"]
+
+
+HOSTILE = {
+    "config-list": (lambda: _config_file("[]"), 2, "input: hostile.json: expected"),
+    "config-string": (lambda: _config_file('"x"'), 2, "input: hostile.json: expected"),
+    "integer-router-labels": (
+        lambda: _model_file(lambda doc: doc["router"].update(labels=[0, 1] * 100)),
+        3, "model-parse: malformed model document: segment tag must be a string"),
+    "empty-profile": (
+        lambda: _model_file(lambda doc: doc["profiles"].update(before=[])),
+        3, "model-parse: malformed model document: no profile rows"),
+    "empty-holdout": (_tiny_holdout, 3, "pipeline: test_fraction 0.001 of 200 rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_gives_one_error_line(workdir, capsys, case):
+    make_argv, code, prefix = HOSTILE[case]
+    argv = make_argv()
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prefix)

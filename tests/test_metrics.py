@@ -17,7 +17,6 @@ from dafr.metrics import (
     mad,
     mape,
     quantile,
-    read_profile_csv,
     rmse,
     write_profile_csv,
 )
@@ -180,19 +179,23 @@ class TestProfile:
         assert back.bins == profile.bins
         assert math.isclose(back.overall_mape, profile.overall_mape, rel_tol=1e-12)
 
-    def test_csv_round_trip(self, tmp_path):
-        y = np.arange(1.0, 26.0) / 3.0
-        profile = decile_mape_profile(y, y + 0.17)
+    def test_json_without_rows_is_rejected(self):
+        with pytest.raises(ValueError, match="no profile rows"):
+            DecileProfile.from_json([])
+        empty_bin = {"bin": 1, "count": 0, "y_low": 1.0, "y_high": 1.0, "mape": 0.0}
+        with pytest.raises(ValueError, match="no profile rows"):
+            DecileProfile.from_json([empty_bin])
+
+    def test_csv_text(self, tmp_path):
+        profile = DecileProfile((ProfileBin(1, 3, 0.1, 1 / 3, 12.5),
+                                 ProfileBin(2, 2, 1 / 3, 2.0, 1e-7)), 7.5)
         path = tmp_path / "profile.csv"
         write_profile_csv(profile, path)
-        back = read_profile_csv(path)
-        assert back.bins == profile.bins
-
-    def test_read_empty_profile(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("bin,count,y_low,y_high,mape\n")
-        with pytest.raises(ValueError, match="no profile rows"):
-            read_profile_csv(path)
+        assert path.read_bytes() == (
+            b"bin,count,y_low,y_high,mape\r\n"
+            b"1,3,0.1,0.3333333333333333,12.5\r\n"
+            b"2,2,0.3333333333333333,2.0,1e-07\r\n"
+        )
 
 
 def profile_from_mapes(mapes):

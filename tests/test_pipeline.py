@@ -140,11 +140,15 @@ class TestTrain:
         assert "sizes" in str(err.value)
         assert "q_front" in str(err.value)
 
-    def test_min_segment_rows_is_configurable(self):
-        ds = single_line(n=60, p=1, sigma=1.0)
-        with pytest.raises(SegmentSizeError):
-            dafr_train(ds, min_segment_rows=30)
-        assert dafr_train(ds, min_segment_rows=3) is not None
+    def test_segments_need_p_plus_two_rows(self):
+        # targets 1..41: q_front puts t_front at 1 + 40 * q_front, so the
+        # front segment gets p + 1 = 3 rows, then p + 2 = 4 rows
+        X = np.random.default_rng(4).uniform(size=(41, 2))
+        ds = Dataset(X, np.arange(1.0, 42.0), ("a", "b"), "y")
+        with pytest.raises(SegmentSizeError, match="front have fewer than 4 rows"):
+            dafr_train(ds, spec=SegmentSpec(q_front=2.5 / 40))
+        model = dafr_train(ds, spec=SegmentSpec(q_front=3.5 / 40))
+        assert np.bincount(model.router.labels, minlength=3)[F] == 4
 
     def test_degenerate_targets_warn_and_share_one_model(self):
         X = np.random.default_rng(0).uniform(size=(40, 2))
@@ -257,15 +261,15 @@ class TestDiagnose:
         ds = single_line(sigma=0.0)
         model = dafr_train(ds)
         report = diagnose(model, ds)
-        assert np.allclose(report.baseline_profile.bin_mapes,
-                           report.dafr_profile.bin_mapes, atol=1e-10)
+        assert np.allclose(report.baseline.profile.bin_mapes,
+                           report.dafr.profile.bin_mapes, atol=1e-10)
 
     def test_front_and_back_bins_improve_on_piecewise_training_data(self):
         ds = piecewise(seed=1)
         model = dafr_train(ds)
         report = diagnose(model, ds)
-        base = report.baseline_profile.bin_mapes
-        dafr = report.dafr_profile.bin_mapes
+        base = report.baseline.profile.bin_mapes
+        dafr = report.dafr.profile.bin_mapes
         for i in (0, 1, 2, 7, 8, 9):
             assert dafr[i] <= base[i]
 
@@ -273,8 +277,8 @@ class TestDiagnose:
         ds = piecewise(seed=8)
         model = dafr_train(ds)
         report = diagnose(model, ds)
-        for profile, overall in ((report.baseline_profile, report.baseline_mape),
-                                 (report.dafr_profile, report.dafr_mape)):
+        for profile, overall in ((report.baseline.profile, report.baseline.mape),
+                                 (report.dafr.profile, report.dafr.mape)):
             weighted = float(np.sum(profile.counts * profile.bin_mapes)
                              / profile.counts.sum())
             assert weighted == pytest.approx(overall, rel=1e-10)
@@ -283,8 +287,8 @@ class TestDiagnose:
         ds = piecewise(seed=2)
         model = dafr_train(ds)
         report = diagnose(model, ds, n_bins=5)
-        assert report.baseline_bathtub is None and report.dafr_bathtub is None
-        assert report.baseline_profile.n_bins == 5
+        assert report.baseline.bathtub is None and report.dafr.bathtub is None
+        assert report.baseline.profile.n_bins == 5
 
     def test_given_routed_labels_replace_the_router(self):
         ds = piecewise(seed=3)
@@ -294,7 +298,7 @@ class TestDiagnose:
         oracle = segment_assign(ds.target, model.spec)
         report = diagnose(model, ds, routed=oracle)
         assert np.array_equal(report.confusion, np.diag(np.bincount(oracle, minlength=3)))
-        assert report.dafr_mape == mape(ds.target, dafr_score_oracle(model, ds.features,
+        assert report.dafr.mape == mape(ds.target, dafr_score_oracle(model, ds.features,
                                                                      ds.target))
         with pytest.raises(ValueError, match="routed labels"):
             diagnose(model, ds, routed=oracle[1:])

@@ -38,11 +38,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="three"):
             SynthConfig(pieces=((1.0, 2.0),))
 
-    def test_json_round_trip(self):
-        cfg = SynthConfig(kind="piecewise_three", n=50, p=2, seed=9,
-                          noise_sigma=0.5, tail_noise_factor=3.0)
-        assert SynthConfig.from_json(cfg.to_json()) == cfg
-
 
 class TestGenerate:
     def test_same_config_same_bytes(self):
