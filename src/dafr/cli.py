@@ -144,9 +144,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise InputError(
                 f"{path} was written by {saved.get('command')!r}, not {command!r}"
             )
-        for key in cfg:
-            if key in saved and saved[key] is not None:
-                cfg[key] = saved[key]
+        for key in (k for k in cfg if saved.get(k) is not None):
+            value, typ = saved[key], OPTIONS[key][0]
+            # a float option takes an int too; bool is an int only to Python
+            if (isinstance(value, bool) != (typ is bool)
+                    or not isinstance(value, (int, float) if typ is float else typ)):
+                raise InputError(f'{path}: option "{key}" must be {typ.__name__}, '
+                                 f"got {json.dumps(value)}")
+            cfg[key] = value
     for key in cfg:
         value = getattr(args, key, None)
         if value is not None:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,20 +101,32 @@ def _looks_numeric(text: str) -> bool:
         return False
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path) -> tuple[list[str], np.ndarray | list[list[str]]]:
+    """The stripped header and the data rows: one float matrix when numpy's
+    C reader takes every cell as a finite number, in rows as wide as the
+    header (it parses ASCII with ``float``'s correctly rounded
+    ``PyOS_string_to_double``, so the bits match); else, so errors name the
+    first bad row or cell as always, the csv module's rows of strings."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise InputError(f"{path}: empty file, expected a header row") from None
+        with contextlib.suppress(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data": named below
+            values = np.loadtxt(fh, delimiter=",", quotechar=None, comments=None,
+                                ndmin=2, dtype=float)
+            if values.shape[0] and values.shape[1] == len(header) and np.isfinite(values).all():
+                return header, values
+        fh.seek(0)
+        next(reader)
         rows = [row for row in reader if row]
     if not rows:
         raise InputError(f"{path}: no data rows")
-    header = [c.strip() for c in header]
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise InputError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
@@ -121,7 +135,7 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
 
 def _parse_columns(rows: list[list[str]], columns: list[int],
                    header: list[str]) -> np.ndarray:
-    """The given columns of every row as an (n, len(columns)) float matrix.
+    """The given columns of the csv rows as an (n, len(columns)) float matrix.
 
     numpy converts each cell with Python's ``float``, which strips the same
     whitespace ``_parse_cell`` does, so the bulk parse yields the same bits.
@@ -146,6 +160,21 @@ def _column_indices(header: list[str], wanted: list[str], path) -> list[int]:
     return [pos[c] for c in wanted]
 
 
+def _feature_indices(path, header, rows, feature_columns, skip, none_found) -> list[int]:
+    """The named feature columns or, when ``feature_columns`` is None, every
+    column not in ``skip`` whose first data cell parses as a number."""
+    if feature_columns is not None:
+        if not feature_columns:
+            raise InputError(f"{path}: feature_columns must not be empty")
+        return _column_indices(header, list(feature_columns), path)
+    numeric = isinstance(rows, np.ndarray)
+    feat_idx = [j for j in range(len(header))
+                if j not in skip and (numeric or _looks_numeric(rows[0][j]))]
+    if not feat_idx:
+        raise InputError(f"{path}: {none_found}")
+    return feat_idx
+
+
 def load_csv(path, target_column: str, feature_columns: list[str] | None = None) -> Dataset:
     """Load a numeric CSV (header row, comma-separated) into a Dataset.
 
@@ -155,20 +184,15 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None)
     """
     header, rows = _read_table(path)
     (target_idx,) = _column_indices(header, [target_column], path)
-    if feature_columns is not None:
-        if not feature_columns:
-            raise InputError(f"{path}: feature_columns must not be empty")
-        feat_idx = _column_indices(header, list(feature_columns), path)
-        if target_idx in feat_idx:
-            raise InputError(f"{path}: target column {target_column!r} listed as a feature")
-    else:
-        feat_idx = [
-            j for j, name in enumerate(header)
-            if j != target_idx and _looks_numeric(rows[0][j])
-        ]
-        if not feat_idx:
-            raise InputError(f"{path}: no numeric feature columns besides {target_column!r}")
-    values = _parse_columns(rows, [target_idx, *feat_idx], header)
+    feat_idx = _feature_indices(path, header, rows, feature_columns, {target_idx},
+                                f"no numeric feature columns besides {target_column!r}")
+    if target_idx in feat_idx:
+        raise InputError(f"{path}: target column {target_column!r} listed as a feature")
+    columns = [target_idx, *feat_idx]
+    # take, not rows[:, columns]: C order like the csv path, as sums round by layout
+    values = (rows.take(columns, axis=1) if isinstance(rows, np.ndarray)
+              else _parse_columns(rows, columns, header))
+    del rows  # so the table is freed before Dataset copies the columns
     names = tuple(header[j] for j in feat_idx)
     return Dataset(values[:, 1:], values[:, 0], names, target_column)
 
@@ -180,18 +204,11 @@ def load_feature_csv(path, feature_columns: list[str] | None = None,
     Auto-selection takes every numeric column not listed in ``exclude``.
     """
     header, rows = _read_table(path)
-    if feature_columns is not None:
-        if not feature_columns:
-            raise InputError(f"{path}: feature_columns must not be empty")
-        feat_idx = _column_indices(header, list(feature_columns), path)
-    else:
-        feat_idx = [
-            j for j, name in enumerate(header)
-            if name not in exclude and _looks_numeric(rows[0][j])
-        ]
-        if not feat_idx:
-            raise InputError(f"{path}: no numeric feature columns found")
-    X = _parse_columns(rows, feat_idx, header)
+    skip = {j for j, name in enumerate(header) if name in exclude}
+    feat_idx = _feature_indices(path, header, rows, feature_columns, skip,
+                                "no numeric feature columns found")
+    X = (rows.take(feat_idx, axis=1) if isinstance(rows, np.ndarray)
+         else _parse_columns(rows, feat_idx, header))
     return X, tuple(header[j] for j in feat_idx)
 
 

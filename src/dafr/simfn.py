@@ -30,6 +30,9 @@ from .dataset import Scaler
 
 # query x reference cells per block: each temporary stays near 0.5 MB
 _BLOCK_CELLS = 1 << 16
+# but at least this many (a thinner product streams every reference for
+# too little arithmetic) while the scratch matrix stays within 1 << 21 cells
+_MIN_BLOCK = 16
 # candidates kept beyond k by the matrix-product filter
 _SPARE = 8
 # above this |z|^2 + max|r|^2 the approximate distances may overflow
@@ -181,7 +184,7 @@ class KnnRouter:
         for consecutive blocks of standardized queries."""
         refs = self.reference_points
         ref_sq = np.einsum("ij,ij->i", refs, refs)
-        step = max(1, _BLOCK_CELLS // refs.shape[0])
+        step = max(1, _BLOCK_CELLS // len(refs), min(_MIN_BLOCK, (1 << 21) // len(refs)))
         work = np.empty((min(step, Z.shape[0]), refs.shape[0]))
         for lo in range(0, Z.shape[0], step):
             block = slice(lo, lo + step)

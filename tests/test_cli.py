@@ -343,6 +343,16 @@ HOSTILE = {
         3, "model-parse: malformed model document: no profile rows"),
     "empty-holdout": (_tiny_holdout, 3, "pipeline: test_fraction 0.001 of 200 rows"),
 }
+# hand-edited sidecar values of the wrong JSON type: option -> (value, expected type)
+WRONG_TYPES = {
+    "k": ('"abc"', "int"), "q_front": ('"x"', "float"), "test_fraction": ('"0.2"', "float"),
+    "bins": ("2.5", "int"), "out": ("5", "str"), "data": ('["pw.csv"]', "str"),
+    "features": ('["x0"]', "str"),
+}
+for _key, (_value, _typ) in WRONG_TYPES.items():
+    HOSTILE[f"config-{_key}-type"] = (
+        lambda key=_key, value=_value: _config_file(f'{{"command": "train", "{key}": {value}}}'),
+        2, f'input: hostile.json: option "{_key}" must be {_typ}, got {_value}')
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))

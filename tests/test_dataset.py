@@ -2,6 +2,8 @@
 
 import csv
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,11 +242,18 @@ HOSTILE = st.one_of(
 )
 
 
+# cells numpy's C reader takes as they are, so the whole table takes the fast path
+PLAIN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**25, 10**25).map(str),
+)
+
+
 @st.composite
 def tables(draw):
     n_cols = draw(st.integers(2, 4))
     n_rows = draw(st.integers(1, 5))
-    body = NUMBER if draw(st.booleans()) else st.one_of(NUMBER, HOSTILE)
+    body = draw(st.sampled_from([PLAIN, NUMBER, st.one_of(NUMBER, HOSTILE)]))
     cell = st.tuples(WHITESPACE, body, WHITESPACE).map("".join)
     rows = [[draw(cell) for _ in range(n_cols)] for _ in range(n_rows)]
     header = [f"c{j}" for j in range(n_cols)]
@@ -280,6 +289,109 @@ class TestCsvDifferential:
             else:
                 got = got[0]
             assert got.tobytes() == expected.tobytes()
+
+
+def write_bytes(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+# files on both sides of the numpy fast path: value rows are [target, a]
+READ_CASES = {
+    "lf": ("a,y\n1,2\n3,4\n", [[2, 1], [4, 3]]),
+    "crlf": ("a,y\r\n1,2\r\n3,4\r\n", [[2, 1], [4, 3]]),
+    "cr-only": ("a,y\r1,2\r3,4\r", [[2, 1], [4, 3]]),
+    "blank-lines": ("a,y\n\n1,2\n\r\n\n3,4", [[2, 1], [4, 3]]),
+    "nbsp": ("a,y\n\xa01\xa0,\u20032 \n", [[2, 1]]),
+    "quoted": ('a,y\n"1",2\n', [[2, 1]]),
+    "underscore": ("a,y\n1_0,2\n", [[2, 10]]),
+    "arabic-indic": ("a,y\n\u0661,2\n", [[2, 1]]),
+    "unused-text-column": ("a,name,y\n1,foo,2\n3,bar,4\n", [[2, 1], [4, 3]]),
+    "wider-rows": ("a,y\n1,2,3\n4,5,6\n", "row 1 has 3 cells, header has 2"),
+    "whitespace-line": ("a,y\n1,2\n \n3,4\n", "row 2 has 1 cells, header has 2"),
+    "hash": ("a,y\n1,2\n#1,4\n", "non-numeric value '#1' at row 2, column 'a'"),
+    "overflow": ("a,y\n1,2\n1e400,4\n", "non-finite value '1e400' at row 2, column 'a'"),
+}
+
+
+class TestCsvFastPath:
+    @pytest.mark.parametrize("case", sorted(READ_CASES))
+    def test_values_and_errors(self, tmp_path, case):
+        text, expected = READ_CASES[case]
+        path = write_bytes(tmp_path / "data.csv", text)
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as err:
+                load_csv(path, "y")
+            assert str(err.value).endswith(expected)
+            return
+        ds = load_csv(path, "y")
+        assert ds.feature_names == ("a",)
+        assert np.column_stack([ds.target, ds.features]).tolist() == expected
+
+    def test_single_column_whitespace_line_is_an_empty_cell(self, tmp_path):
+        path = write_bytes(tmp_path / "data.csv", "a\n1\n \n3\n")
+        with pytest.raises(CellError, match=r"^empty cell at row 2, column 'a'$"):
+            load_feature_csv(path)
+
+    def test_byte_order_mark_stays_in_the_first_name(self, tmp_path):
+        path = write_bytes(tmp_path / "data.csv", "\ufeffa,y\n1,2\n")
+        ds = load_csv(path, "y")
+        assert ds.feature_names == ("\ufeffa",)
+        assert ds.features.tolist() == [[1.0]]
+
+    def test_write_csv_files_skip_the_csv_parse(self, tmp_path, monkeypatch):
+        ds = make_ds(n=50, p=3, seed=2)
+        write_csv(ds, tmp_path / "data.csv")
+
+        def refuse(*args):
+            raise AssertionError("a write_csv file went down the csv path")
+
+        monkeypatch.setattr("dafr.dataset._parse_columns", refuse)
+        back = load_csv(tmp_path / "data.csv", "y")
+        assert back.features.tobytes() == ds.features.tobytes()
+        X, names = load_feature_csv(tmp_path / "data.csv", exclude=("y",))
+        assert names == ds.feature_names
+        assert X.tobytes() == ds.features.tobytes()
+
+    def test_both_paths_give_the_same_arrays(self, tmp_path):
+        # quoting every cell sends the same numbers down the csv path; the
+        # memory layout must match too, as column means round by it
+        ds = make_ds(n=3000, p=3, seed=6)
+        write_csv(ds, tmp_path / "fast.csv")
+        with (tmp_path / "slow.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerow([*ds.feature_names, "y"])
+            writer.writerows(np.column_stack([ds.features, ds.target]).tolist())
+        fast, slow = load_csv(tmp_path / "fast.csv", "y"), load_csv(tmp_path / "slow.csv", "y")
+        fast_X = load_feature_csv(tmp_path / "fast.csv", ["x2", "x0"])[0]
+        slow_X = load_feature_csv(tmp_path / "slow.csv", ["x2", "x0"])[0]
+        for a, b in ((fast.features, slow.features), (fast.target, slow.target),
+                     (fast_X, slow_X)):
+            assert a.tobytes() == b.tobytes()
+            assert a.strides == b.strides
+        assert fit_scaler(fast).means.tobytes() == fit_scaler(slow).means.tobytes()
+
+    def test_load_peak_stays_near_the_result(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.normal(size=(20_000, 8)), rng.normal(size=20_000),
+                     tuple(f"x{j}" for j in range(8)), "y")
+        write_csv(ds, tmp_path / "data.csv")
+        del ds
+        tracemalloc.start()
+        try:
+            back = load_csv(tmp_path / "data.csv", "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (back.features.nbytes + back.target.nbytes)
+
+    @pytest.mark.parametrize("text", ["a,y\n", "a,y\n\n\r\n\n"])
+    def test_no_rows_raises_without_a_warning(self, tmp_path, text):
+        path = write_bytes(tmp_path / "data.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="no data rows"):
+                load_csv(path, "y")
 
 
 class TestSplit:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dafr import simfn
 from dafr.dataset import Scaler
 from dafr.simfn import KnnRouter, SegmentLabel, knn_fit
 
@@ -268,6 +269,33 @@ class TestLeaveOneOut:
         single = KnnRouter([[0.0]], [F], k=1, scaler=identity_scaler(1))
         with pytest.raises(ValueError, match="at least 2 reference rows"):
             single.route_left_out([0])
+
+
+class TestBlockFloor:
+    def test_floor_sized_blocks_match_the_oracles(self, monkeypatch):
+        # one cell per block: the floor alone sets the block size
+        monkeypatch.setattr(simfn, "_BLOCK_CELLS", 1)
+        sizes = []
+        k_nearest = simfn._k_nearest
+
+        def spy(refs, ref_sq, Z, k, work):
+            sizes.append(Z.shape[0])
+            return k_nearest(refs, ref_sq, Z, k, work)
+
+        monkeypatch.setattr(simfn, "_k_nearest", spy)
+        rng = np.random.default_rng(9)
+        for refs in (rng.integers(-1, 2, size=(80, 2)).astype(float),
+                     rng.normal(size=(80, 5))):
+            labels = rng.integers(0, 3, size=80)
+            router = KnnRouter(refs, labels, k=3, scaler=identity_scaler(refs.shape[1]))
+            queries = np.vstack([refs[:20], rng.normal(size=(20, refs.shape[1]))])
+            rows = np.arange(0, 80, 2)
+            routed = [oracle_route(refs, labels, 3, z) for z in queries]
+            left_out = [left_out_oracle(refs, labels, 3, i) for i in rows]
+            sizes.clear()
+            assert router.route_many(queries).tolist() == routed
+            assert router.route_left_out(rows).tolist() == left_out
+            assert sizes == [16, 16, 8] * 2
 
 
 class TestValidation:
