@@ -84,6 +84,17 @@ OPTIONS = {
     "seeds": (str, "comma-separated seed list"),
 }
 
+_COUNT = (lambda v: v >= 1, "at least 1")
+_FRACTION = (lambda v: 0 < v < 1, "in (0, 1)")
+# option -> (valid-value test, valid range); NaN fails each. The pipeline
+# checks what depends on the data: k <= rows, q_front < q_back.
+RANGES = {
+    "k": _COUNT, "bins": _COUNT,
+    "q_front": _FRACTION, "q_back": _FRACTION, "test_fraction": _FRACTION,
+    "ridge": (lambda v: 0 <= v < float("inf"), "finite and at least 0"),
+    "seed": (lambda v: v >= 0, "at least 0"),
+}
+
 COMMAND_HELP = {
     "train": "fit baseline, segment models, and router",
     "score": "predict with a trained model",
@@ -156,6 +167,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    for key, (valid, must) in RANGES.items():
+        if cfg.get(key) is not None and not valid(cfg[key]):
+            raise UsageError(f'option "{key}" must be {must}, got {cfg[key]}')
     return cfg
 
 

@@ -41,7 +41,8 @@ class Dataset:
     target_name: str
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=float)
+        # C order: column means round by memory layout, so model bits would too
+        X = np.array(self.features, dtype=float, order="C")
         if X.ndim != 2:
             raise ValueError(f"features must be a 2-D matrix, got ndim={X.ndim}")
         y = np.array(self.target, dtype=float).ravel()
@@ -189,7 +190,6 @@ def load_csv(path, target_column: str, feature_columns: list[str] | None = None)
     if target_idx in feat_idx:
         raise InputError(f"{path}: target column {target_column!r} listed as a feature")
     columns = [target_idx, *feat_idx]
-    # take, not rows[:, columns]: C order like the csv path, as sums round by layout
     values = (rows.take(columns, axis=1) if isinstance(rows, np.ndarray)
               else _parse_columns(rows, columns, header))
     del rows  # so the table is freed before Dataset copies the columns

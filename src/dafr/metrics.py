@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +83,7 @@ class ProfileBin:
     mape: float
 
     def to_json(self) -> dict:
-        return {
-            "bin": self.bin,
-            "count": self.count,
-            "y_low": self.y_low,
-            "y_high": self.y_high,
-            "mape": self.mape,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProfileBin":
@@ -177,12 +171,7 @@ class BathtubReport:
     is_bathtub: bool
 
     def to_json(self) -> dict:
-        return {
-            "front_mean": self.front_mean,
-            "mid_mean": self.mid_mean,
-            "back_mean": self.back_mean,
-            "is_bathtub": self.is_bathtub,
-        }
+        return asdict(self)
 
 
 def bathtub_report(profile: DecileProfile) -> BathtubReport:

@@ -10,8 +10,9 @@ segment's model.
 from __future__ import annotations
 
 import json
+import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,11 @@ from .metrics import (
 from .simfn import KnnRouter, SegmentLabel, knn_fit
 
 MODEL_VERSION = 2
+# reference rows save_model formats per json.dumps call
+_BLOCK_ROWS = 2048
+# bytes of reference rows load_model parses per json.loads call
+_CHUNK_BYTES = 1 << 16
+_POINTS = '"reference_points": '
 
 
 @dataclass(frozen=True)
@@ -83,12 +89,7 @@ class SegmentSpec:
         )
 
     def to_json(self) -> dict:
-        return {
-            "q_front": self.q_front,
-            "q_back": self.q_back,
-            "t_front": self.t_front,
-            "t_back": self.t_back,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SegmentSpec":
@@ -343,8 +344,9 @@ def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10,
     return DiagnoseReport(eval_data.n_rows, baseline, dafr, confusion)
 
 
-def model_to_json(model: DafrModel) -> dict:
-    """JSON document with a fixed field order; floats keep full precision."""
+def model_to_json(model: DafrModel, with_points: bool = True) -> dict:
+    """JSON document with a fixed field order; floats keep full precision.
+    ``with_points=False`` leaves the router's reference matrix null."""
     return {
         "version": MODEL_VERSION,
         "spec": model.spec.to_json(),
@@ -352,7 +354,7 @@ def model_to_json(model: DafrModel) -> dict:
         "front": model.front.to_json(),
         "mid": model.mid.to_json(),
         "back": model.back.to_json(),
-        "router": model.router.to_json(),
+        "router": model.router.to_json(with_points),
         "profiles": {
             "before": model.train_profile_before.to_json(),
             "after": model.train_profile_after.to_json(),
@@ -384,17 +386,70 @@ def model_from_json(obj: dict) -> DafrModel:
 
 
 def save_model(model: DafrModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_json(model)) + "\n", encoding="utf-8")
+    """Write ``json.dumps(model_to_json(model)) + "\\n"`` a block of reference
+    rows at a time, into a temp file that replaces ``path`` once complete."""
+    path = Path(path)
+    head, tail = json.dumps(model_to_json(model, with_points=False)).split(_POINTS + "null")
+    refs = model.router.reference_points
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(head + _POINTS + "[")
+            for lo in range(0, len(refs), _BLOCK_ROWS):
+                block = json.dumps(refs[lo:lo + _BLOCK_ROWS].tolist())[1:-1]
+                fh.write(", " + block if lo else block)
+            fh.write("]" + tail + "\n")
+        os.replace(tmp, path)
+    except OSError as err:  # name the target, as a direct write to it would
+        raise OSError(err.errno, err.strerror, str(path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _streamed_document(data: bytes) -> dict:
+    """The document in ``data``, its reference matrix parsed a chunk of rows
+    at a time into one array. Raises unless the layout is save_model's: one
+    ``"reference_points": [[`` and no backslash (no escaped key) outside it."""
+    start = data.find((_POINTS + "[[").encode()) + len(_POINTS)
+    if start < len(_POINTS) or data.count(b"reference_points") != 1:
+        raise ValueError("not save_model's layout")
+    end = data.index(b"]]", start) + 2
+    obj = json.loads((data[:start] + b"null" + data[end:]).decode("utf-8"))
+    if b"\\" in data[:start] + data[end:] or obj["router"]["reference_points"] is not None:
+        raise ValueError("not save_model's layout")
+    # n and p from the separators and the first row; a miscount fails below
+    n = data.count(b"], [", start, end) + 1
+    p = data.count(b", ", start, data.index(b"]", start)) + 1
+    points, row, lo = np.empty((n, p)), 0, start + 1
+    while lo < end - 1:
+        cut = data.find(b"], [", lo + _CHUNK_BYTES, end)
+        hi = end - 1 if cut < 0 else cut + 1
+        block = np.array(json.loads("[" + data[lo:hi].decode("utf-8") + "]"), dtype=float)
+        if block.shape[1:] != (p,):
+            raise ValueError("reference rows differ in shape")
+        points[row:row + len(block)] = block
+        row, lo = row + len(block), hi + 2
+    if row != n:
+        raise ValueError(f"{row} reference rows parsed, {n} counted")
+    obj["router"]["reference_points"] = points
+    return obj
 
 
 def load_model(path) -> DafrModel:
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such model file: {path}")
+    data = path.read_bytes()
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ModelFormatError(f"{path} is not valid JSON: {err}") from None
+        obj = _streamed_document(data)
+    except Exception:  # parse below, outside the handler: no chained errors
+        obj = None
+    if obj is None:
+        try:
+            obj = json.loads(data.decode("utf-8"))
+        except json.JSONDecodeError as err:
+            raise ModelFormatError(f"{path} is not valid JSON: {err}") from None
+    del data  # before the router copies the parsed matrix
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
     return model_from_json(obj)

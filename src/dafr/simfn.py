@@ -240,9 +240,9 @@ class KnnRouter:
             labels[block] = _majority(self.labels[top[keep].reshape(-1, k - 1)])
         return labels
 
-    def to_json(self) -> dict:
+    def to_json(self, with_points: bool = True) -> dict:
         return {
-            "reference_points": self.reference_points.tolist(),
+            "reference_points": self.reference_points.tolist() if with_points else None,
             "labels": [_TAGS[v] for v in self.labels.tolist()],
             "k": self.k,
             "scaler": self.scaler.to_json(),

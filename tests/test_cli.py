@@ -353,6 +353,20 @@ for _key, (_value, _typ) in WRONG_TYPES.items():
     HOSTILE[f"config-{_key}-type"] = (
         lambda key=_key, value=_value: _config_file(f'{{"command": "train", "{key}": {value}}}'),
         2, f'input: hostile.json: option "{_key}" must be {_typ}, got {_value}')
+# sidecar values of the right type but out of range: (option, value, valid range)
+OUT_OF_RANGE = [
+    ("k", "0", "at least 1"), ("k", "-3", "at least 1"),
+    ("q_front", "2.0", "in (0, 1)"), ("q_front", "NaN", "in (0, 1)"),
+    ("bins", "0", "at least 1"), ("test_fraction", "1.5", "in (0, 1)"),
+    ("ridge", "-1", "finite and at least 0"), ("seed", "-1", "at least 0"),
+]
+for _key, _value, _must in OUT_OF_RANGE:
+    HOSTILE[f"config-{_key}={_value}"] = (
+        lambda key=_key, value=_value: _config_file(f'{{"command": "train", "{key}": {value}}}'),
+        2, f'usage: option "{_key}" must be {_must}, got {_value.lower()}')
+    HOSTILE[f"flag-{_key}={_value}"] = (
+        lambda key=_key, value=_value: ["train", f"--{key.replace('_', '-')}", value],
+        2, f'usage: option "{_key}" must be {_must}, got {_value.lower()}')
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE))

@@ -1,10 +1,14 @@
 """Tests for training, scoring, diagnostics, and model persistence."""
 
+import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dafr import pipeline
 from dafr.dataset import Dataset
 from dafr.errors import (
     InputError,
@@ -27,7 +31,7 @@ from dafr.pipeline import (
     save_model,
     segment_assign,
 )
-from dafr.simfn import SegmentLabel
+from dafr.simfn import KnnRouter, SegmentLabel
 from dafr.synth import SynthConfig, generate
 
 F, M, B = (int(s) for s in SegmentLabel)
@@ -380,3 +384,150 @@ class TestPersistence:
         path.write_text("[1, 2]")
         with pytest.raises(ModelFormatError, match="JSON object"):
             load_model(path)
+
+
+def _with_references(model, n):
+    """``model`` with a router holding only its first ``n`` references."""
+    router = model.router
+    return replace(model, router=KnnRouter(router.reference_points[:n], router.labels[:n],
+                                           min(router.k, n), router.scaler))
+
+
+def _outcome(path):
+    """The loaded model as exact text, or the error's type and message."""
+    try:
+        return json.dumps(model_to_json(load_model(path)))
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _refuse(data):
+    raise ValueError("streamed reader switched off")
+
+
+def _edit_points(edit):
+    def apply(doc):
+        edit(doc["router"]["reference_points"])
+        return json.dumps(doc).encode()
+    return apply
+
+
+def _replace_text(old, new, count=1):
+    return lambda doc: json.dumps(doc).replace(old, new, count).encode()
+
+
+def _text_cells(points):
+    points[5][1] = repr(points[5][1])
+
+
+def _shorten_from(row):
+    def edit(points):
+        for r in points[row:]:
+            r.pop()
+    return edit
+
+
+# hostile model documents: name -> model document -> file bytes
+HOSTILE_MODELS = {
+    "indent-2": lambda doc: json.dumps(doc, indent=2).encode(),
+    "keys-reordered": lambda doc: json.dumps(
+        {k: ({r: v[r] for r in reversed(v)} if k == "router" else v)
+         for k, v in reversed(doc.items())}).encode(),
+    "duplicate-key-first": _replace_text(
+        '"reference_points": ', '"reference_points": [[1.0, 2.0, 3.0]], "reference_points": '),
+    "duplicate-key-last": _replace_text(
+        '"reference_points": [[', '"reference_points": [[1.0, 2.0, 3.0]], "reference_points": [['),
+    "escaped-duplicate-key": _replace_text('"labels": ', '"reference\\u005fpoints": null, "labels": '),
+    "ragged-row": _edit_points(lambda points: points[10].pop()),
+    "narrower-after-chunk": _edit_points(_shorten_from(10)),
+    "string-cells": _edit_points(_text_cells),
+    "nested-list": _edit_points(lambda points: points[7].__setitem__(0, [points[7][0]])),
+    "nan-cell": _edit_points(lambda points: points[9].__setitem__(2, float("nan"))),
+    "huge-cell": lambda doc: _edit_points(
+        lambda points: points[9].__setitem__(2, 12345.5))(doc).replace(b"12345.5", b"1e400"),
+    "truncated-in-matrix": lambda doc: json.dumps(doc).encode()[:4000],
+    "truncated-after-matrix": lambda doc: json.dumps(doc).encode()[:-40],
+    "utf8-bom": lambda doc: b"\xef\xbb\xbf" + json.dumps(doc).encode(),
+    "invalid-utf8-in-matrix": lambda doc: json.dumps(doc).encode().replace(b"], [", b"], \xff[", 3),
+    "invalid-utf8-outside": lambda doc: json.dumps(doc).encode().replace(b'"mid"', b'"m\xffd"', 1),
+}
+
+
+class TestModelIO:
+    @pytest.mark.parametrize("n_refs", [1, 3, 4, 5, 9])
+    def test_streamed_bytes_equal_one_dump(self, tmp_path, monkeypatch, n_refs):
+        monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 4)
+        model = _with_references(dafr_train(piecewise(seed=4)), n_refs)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == (json.dumps(model_to_json(model)) + "\n").encode()
+        back = load_model(path)
+        assert np.array_equal(back.router.reference_points.view(np.uint64),
+                              model.router.reference_points.view(np.uint64))
+
+    def test_failed_save_keeps_the_old_model(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 4)
+        path = tmp_path / "model.json"
+        save_model(dafr_train(piecewise(seed=5)), path)
+        before = path.read_bytes()
+        dumps, calls = json.dumps, []
+
+        def dumps_failing_on_second_block(obj, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # the skeleton, then one call per block
+                raise RuntimeError("disk went away")
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps_failing_on_second_block)
+        with pytest.raises(RuntimeError, match="disk went away"):
+            save_model(dafr_train(piecewise(seed=6)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_save_error_names_the_target(self, tmp_path):
+        target = tmp_path / "absent" / "model.json"
+        with pytest.raises(FileNotFoundError) as err:
+            save_model(dafr_train(single_line()), target)
+        assert err.value.filename == str(target)
+
+    def test_saved_layout_takes_the_streamed_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 64)
+        model = dafr_train(piecewise(seed=7))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = pipeline._streamed_document(path.read_bytes())
+        assert np.array_equal(doc["router"]["reference_points"], model.router.reference_points)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MODELS))
+    def test_streamed_reader_matches_whole_text_parse(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 64)
+        path = tmp_path / "model.json"
+        path.write_bytes(HOSTILE_MODELS[case](model_to_json(dafr_train(piecewise(seed=8)))))
+        fast = _outcome(path)
+        monkeypatch.setattr(pipeline, "_streamed_document", _refuse)
+        assert fast == _outcome(path)
+
+    def test_memory_stays_near_the_file_size(self, tmp_path):
+        model = dafr_train(generate(SynthConfig(kind="hetero_tails", n=20000, p=8, seed=1)))
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            load_model(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert save_peak <= size
+        assert load_peak <= 2 * size
+
+    def test_feature_memory_order_does_not_change_the_model(self, tmp_path):
+        ds = generate(SynthConfig(kind="piecewise_three", n=3000, p=3, seed=0))
+        digests = []
+        for X in (ds.features, np.asfortranarray(ds.features)):
+            path = tmp_path / "model.json"
+            save_model(dafr_train(Dataset(X, ds.target, ds.feature_names, ds.target_name)), path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
