@@ -10,7 +10,6 @@ one ``code: message`` line on stderr; exit codes are 0 (success),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -20,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_csv, load_feature_csv, train_test_split, write_csv
+from .dataset import (atomic_write, load_csv, load_feature_csv, train_test_split, write_csv,
+                      write_rows)
 from .errors import DafrError, InputError
 from .metrics import write_profile_csv
 from .pipeline import SegmentSpec, dafr_score, dafr_train, diagnose, load_model, save_model
-from .simfn import SegmentLabel
+from .simfn import TAGS
 from .synth import KINDS, SynthConfig, generate
 
 log = logging.getLogger("dafr")
@@ -195,7 +195,8 @@ def _beside(out: Path, suffix: str) -> Path:
 
 def write_effective_config(command: str, cfg: dict, out: Path, extra: dict | None = None) -> None:
     doc = {"command": command, **{k: cfg[k] for k in sorted(cfg)}, **(extra or {})}
-    _beside(out, ".config.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(_beside(out, ".config.json")) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def train_summary(model, train_ds, n_bins: int, seed: int) -> list[str]:
@@ -266,7 +267,8 @@ def cmd_train(cfg: dict) -> int:
     if holdout_path is not None:
         lines.append(f"holdout rows written to {holdout_path} (not used for training)")
     summary_path = _beside(out, ".summary.txt")
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(summary_path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
     write_effective_config("train", cfg, out)
     log.info("wrote %s, %s, %s, %s", out, before_path, after_path, summary_path)
@@ -282,17 +284,12 @@ def cmd_score(cfg: dict) -> int:
     out = Path(cfg["out"]) if cfg["out"] else Path(
         Path(cfg["data"]).with_suffix("").name + ".predictions.csv")
     header = ["row", "segment", "prediction"]
+    columns = [range(1, len(X) + 1), [TAGS[s] for s in result.segments.tolist()],
+               result.predictions.tolist()]
     if cfg["trace"]:
         header.append("nearest_distance")
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(result.predictions.shape[0]):
-            row = [i + 1, SegmentLabel(int(result.segments[i])).tag,
-                   repr(float(result.predictions[i]))]
-            if cfg["trace"]:
-                row.append(repr(float(result.nearest_distance[i])))
-            writer.writerow(row)
+        columns.append(result.nearest_distance.tolist())
+    write_rows(out, header, zip(*columns))
     write_effective_config("score", {**cfg, "out": str(out)}, out)
     log.info("wrote %s (%d rows)", out, result.predictions.shape[0])
     return 0
@@ -305,13 +302,12 @@ def cmd_diagnose(cfg: dict) -> int:
     report = diagnose(model, ds, n_bins=cfg["bins"])
     out = Path(cfg["out"]) if cfg["out"] else Path(
         Path(cfg["data"]).with_suffix("").name + ".report.json")
-    out.write_text(json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8")
+    with atomic_write(out) as fh:
+        fh.write(json.dumps(report.to_json(), indent=2) + "\n")
     pairs_path = _beside(out, ".profiles.csv")
-    with pairs_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "baseline_mape", "dafr_mape"])
-        for b, d in zip(report.baseline.profile.bins, report.dafr.profile.bins):
-            writer.writerow([b.bin, repr(b.mape), repr(d.mape)])
+    write_rows(pairs_path, ["bin", "baseline_mape", "dafr_mape"],
+               [[b.bin, b.mape, d.mape]
+                for b, d in zip(report.baseline.profile.bins, report.dafr.profile.bins)])
     write_effective_config("diagnose", {**cfg, "out": str(out)}, out)
     log.info("wrote %s and %s", out, pairs_path)
     return 0
@@ -370,20 +366,15 @@ def cmd_compare(cfg: dict) -> int:
             rows.append([seed, "", "", "", "", str(err)])
             continue
         runs.append(run)
-        rows.append([seed, repr(run.baseline_mape), repr(run.dafr_mape),
-                     repr(run.oracle_mape), "win" if run.improved else "loss", ""])
+        rows.append([seed, run.baseline_mape, run.dafr_mape, run.oracle_mape,
+                     "win" if run.improved else "loss", ""])
+    if runs:
+        agg = summarize_compare(runs)
+        rows.append(["aggregate", agg["baseline_mape_mean"], agg["dafr_mape_mean"],
+                     agg["oracle_mape_mean"], f"{agg['wins']}/{agg['seeds']} wins", ""])
 
     out = Path(cfg["out"])
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "baseline_mape", "dafr_mape", "oracle_mape",
-                         "result", "error"])
-        writer.writerows(rows)
-        if runs:
-            agg = summarize_compare(runs)
-            writer.writerow(["aggregate", repr(agg["baseline_mape_mean"]),
-                             repr(agg["dafr_mape_mean"]), repr(agg["oracle_mape_mean"]),
-                             f"{agg['wins']}/{agg['seeds']} wins", ""])
+    write_rows(out, ["seed", "baseline_mape", "dafr_mape", "oracle_mape", "result", "error"], rows)
     write_effective_config("compare", cfg, out)
     if not runs:
         print("pipeline: every seed failed; see " + str(out), file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Tabular numeric data: CSV I/O, seeded splitting, and standardization."""
+"""Tabular numeric data: CSV and atomic file I/O, seeded splitting, and standardization."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import contextlib
 import csv
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,6 +213,37 @@ def load_feature_csv(path, feature_columns: list[str] | None = None,
     return X, tuple(header[j] for j in feat_idx)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A UTF-8 handle, no newline translation, on ``.<name>.<pid>.tmp`` beside
+    ``path``: renamed over a regular file or a missing path once the block
+    completes, always removed, and an ``OSError`` names ``path``. A symlink
+    or other existing target is opened directly: a directory raises "Is a
+    directory", a FIFO, device or ``/dev/stdout`` gets the bytes in place."""
+    path = Path(path)
+    if path.is_symlink() or path.exists() and not path.is_file():
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, str(path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_rows(path, header, rows) -> None:
+    """A header then rows through ``csv.writer``, which writes a float as its ``repr``."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv(ds: Dataset, path) -> None:
     """Write features then target, floats in shortest round-trip form.
 
@@ -220,8 +252,7 @@ def write_csv(ds: Dataset, path) -> None:
     quote) and ends lines with CRLF; the data rows are formatted a block
     at a time without it, which is faster.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         csv.writer(fh).writerow(list(ds.feature_names) + [ds.target_name])
         for lo in range(0, ds.n_rows, _WRITE_ROWS):
             block = np.column_stack([ds.features[lo:lo + _WRITE_ROWS],

@@ -7,13 +7,12 @@ average but degrades at both extremes shows up as a bathtub-shaped curve.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
+from .dataset import write_rows
 from .errors import ZeroTargetError
 
 
@@ -190,8 +189,4 @@ PROFILE_HEADER = ["bin", "count", "y_low", "y_high", "mape"]
 
 def write_profile_csv(profile: DecileProfile, path) -> None:
     """One CSV row per bin, floats in shortest round-trip form."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_HEADER)
-        for b in profile.bins:
-            writer.writerow([b.bin, b.count, repr(b.y_low), repr(b.y_high), repr(b.mape)])
+    write_rows(path, PROFILE_HEADER, map(astuple, profile.bins))

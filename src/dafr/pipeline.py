@@ -10,14 +10,13 @@ segment's model.
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, atomic_write
 from .errors import (
     InputError,
     ModelFormatError,
@@ -387,23 +386,15 @@ def model_from_json(obj: dict) -> DafrModel:
 
 def save_model(model: DafrModel, path) -> None:
     """Write ``json.dumps(model_to_json(model)) + "\\n"`` a block of reference
-    rows at a time, into a temp file that replaces ``path`` once complete."""
-    path = Path(path)
+    rows at a time, through ``atomic_write``."""
     head, tail = json.dumps(model_to_json(model, with_points=False)).split(_POINTS + "null")
     refs = model.router.reference_points
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(head + _POINTS + "[")
-            for lo in range(0, len(refs), _BLOCK_ROWS):
-                block = json.dumps(refs[lo:lo + _BLOCK_ROWS].tolist())[1:-1]
-                fh.write(", " + block if lo else block)
-            fh.write("]" + tail + "\n")
-        os.replace(tmp, path)
-    except OSError as err:  # name the target, as a direct write to it would
-        raise OSError(err.errno, err.strerror, str(path)) from None
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        fh.write(head + _POINTS + "[")
+        for lo in range(0, len(refs), _BLOCK_ROWS):
+            block = json.dumps(refs[lo:lo + _BLOCK_ROWS].tolist())[1:-1]
+            fh.write(", " + block if lo else block)
+        fh.write("]" + tail + "\n")
 
 
 def _streamed_document(data: bytes) -> dict:

@@ -60,7 +60,7 @@ class SegmentLabel(IntEnum):
             raise ValueError(f"unknown segment tag {tag!r}") from None
 
 
-_TAGS = tuple(s.tag for s in SegmentLabel)
+TAGS = tuple(s.tag for s in SegmentLabel)
 _CODES = {s.tag: int(s) for s in SegmentLabel}
 
 
@@ -243,7 +243,7 @@ class KnnRouter:
     def to_json(self, with_points: bool = True) -> dict:
         return {
             "reference_points": self.reference_points.tolist() if with_points else None,
-            "labels": [_TAGS[v] for v in self.labels.tolist()],
+            "labels": [TAGS[v] for v in self.labels.tolist()],
             "k": self.k,
             "scaler": self.scaler.to_json(),
         }

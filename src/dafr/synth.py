@@ -18,9 +18,13 @@ from .metrics import quantile
 
 KINDS = ("single_line", "piecewise_three", "hetero_tails")
 
-# joined at the breakpoints: 2+3*1 = -5+10*1 and -5+10*2 = -25+20*2
-DEFAULT_BREAKPOINTS = (1.0, 2.0)
-DEFAULT_PIECES = ((2.0, 3.0), (-5.0, 10.0), (-25.0, 20.0))
+# piecewise_three's (intercept, slope) pieces meet at the breakpoints:
+# 2+3*1 = -5+10*1 and -5+10*2 = -25+20*2
+BREAKPOINTS = (1.0, 2.0)
+PIECES = ((2.0, 3.0), (-5.0, 10.0), (-25.0, 20.0))
+# hetero_tails scales the noise outside these target quantiles by the factor
+TAIL_QUANTILE = 0.2
+TAIL_NOISE_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,6 @@ class SynthConfig:
     p: int = 3
     noise_sigma: float = 1.0
     seed: int = 0
-    breakpoints: tuple[float, float] = DEFAULT_BREAKPOINTS
-    pieces: tuple[tuple[float, float], ...] = DEFAULT_PIECES
-    tail_noise_factor: float = 5.0
-    tail_quantile: float = 0.2
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -44,19 +44,6 @@ class SynthConfig:
             raise ValueError(f"need n >= 1 and p >= 1, got n={self.n}, p={self.p}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
-        if len(self.breakpoints) != 2 or not self.breakpoints[0] < self.breakpoints[1]:
-            raise ValueError(f"breakpoints must be two increasing values, got {self.breakpoints}")
-        if len(self.pieces) != 3 or any(len(piece) != 2 for piece in self.pieces):
-            raise ValueError("pieces must be three (intercept, slope) pairs")
-        if self.tail_noise_factor < 1:
-            raise ValueError(f"tail_noise_factor must be >= 1, got {self.tail_noise_factor}")
-        if not 0.0 < self.tail_quantile < 0.5:
-            raise ValueError(f"tail_quantile must lie in (0, 0.5), got {self.tail_quantile}")
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        object.__setattr__(
-            self, "pieces",
-            tuple((float(b0), float(b1)) for b0, b1 in self.pieces),
-        )
 
     def to_json(self) -> dict:
         return {
@@ -65,10 +52,10 @@ class SynthConfig:
             "p": self.p,
             "noise_sigma": self.noise_sigma,
             "seed": self.seed,
-            "breakpoints": list(self.breakpoints),
-            "pieces": [list(piece) for piece in self.pieces],
-            "tail_noise_factor": self.tail_noise_factor,
-            "tail_quantile": self.tail_quantile,
+            "breakpoints": list(BREAKPOINTS),
+            "pieces": [list(piece) for piece in PIECES],
+            "tail_noise_factor": TAIL_NOISE_FACTOR,
+            "tail_quantile": TAIL_QUANTILE,
         }
 
 
@@ -90,13 +77,11 @@ def generate(config: SynthConfig) -> Dataset:
         return _finish(X, y, p)
     if config.kind == "piecewise_three":
         X = np.empty((n, p))
-        lo, hi = 0.0, 1.5 * config.breakpoints[1]
-        X[:, 0] = rng.uniform(lo, hi, size=n)
+        X[:, 0] = rng.uniform(0.0, 1.5 * BREAKPOINTS[1], size=n)
         if p > 1:
             X[:, 1:] = rng.uniform(0.0, 1.0, size=(n, p - 1))
-        region = np.digitize(X[:, 0], config.breakpoints)
-        intercepts = np.array([piece[0] for piece in config.pieces])
-        slopes = np.array([piece[1] for piece in config.pieces])
+        region = np.digitize(X[:, 0], BREAKPOINTS)
+        intercepts, slopes = np.array(PIECES).T
         y0 = intercepts[region] + slopes[region] * X[:, 0]
         if p > 1:
             y0 = y0 + 0.5 * X[:, 1:].sum(axis=1)
@@ -105,9 +90,9 @@ def generate(config: SynthConfig) -> Dataset:
     # hetero_tails: single line, tail rows get amplified noise
     X = rng.uniform(0.0, 1.0, size=(n, p))
     y0 = 20.0 + 10.0 * X.sum(axis=1)
-    lo_cut = quantile(y0, config.tail_quantile)
-    hi_cut = quantile(y0, 1.0 - config.tail_quantile)
-    scale = np.where((y0 < lo_cut) | (y0 > hi_cut), config.tail_noise_factor, 1.0)
+    lo_cut = quantile(y0, TAIL_QUANTILE)
+    hi_cut = quantile(y0, 1.0 - TAIL_QUANTILE)
+    scale = np.where((y0 < lo_cut) | (y0 > hi_cut), TAIL_NOISE_FACTOR, 1.0)
     y = y0 + config.noise_sigma * scale * rng.normal(size=n)
     return _finish(X, y, p)
 

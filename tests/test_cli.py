@@ -1,6 +1,7 @@
 """End-to-end tests of the command line driven in process."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import dafr
-from dafr import simfn
+from dafr import experiments, simfn
 from dafr.cli import SUMMARY_ROWS, main
+from dafr.dataset import load_feature_csv
+from dafr.pipeline import dafr_score, load_model
+from dafr.simfn import SegmentLabel
 
 
 @pytest.fixture
@@ -186,6 +190,24 @@ class TestTrainSummary:
         assert proc.stdout.strip() == "False"
 
 
+def reference_predictions(model_path, data_path, out, trace):
+    """A per-row csv.writer loop over dafr_score's result: the reference for
+    the bytes of score's predictions file."""
+    result = dafr_score(load_model(model_path), load_feature_csv(data_path, exclude=("y",))[0])
+    header = ["row", "segment", "prediction"]
+    if trace:
+        header.append("nearest_distance")
+    with Path(out).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(result.predictions.shape[0]):
+            row = [i + 1, SegmentLabel(int(result.segments[i])).tag,
+                   repr(float(result.predictions[i]))]
+            if trace:
+                row.append(repr(float(result.nearest_distance[i])))
+            writer.writerow(row)
+
+
 class TestScore:
     def setup_model(self):
         make_data()
@@ -210,6 +232,15 @@ class TestScore:
         rows = read_rows("traced.csv")
         assert rows[0] == ["row", "segment", "prediction", "nearest_distance"]
         assert float(rows[1][3]) >= 0.0
+
+    @pytest.mark.parametrize("trace", [[], ["--trace"]])
+    def test_predictions_equal_the_row_loop(self, workdir, trace):
+        self.setup_model()
+        make_data("queries.csv", n=500, kind="hetero_tails", seed=8)
+        assert run("score", "--model", "model.json", "--data", "queries.csv",
+                   "--target", "y", "--out", "got.csv", *trace) == 0
+        reference_predictions("model.json", "queries.csv", "want.csv", bool(trace))
+        assert Path("got.csv").read_bytes() == Path("want.csv").read_bytes()
 
     def test_width_mismatch_exit_3(self, workdir, capsys):
         self.setup_model()
@@ -292,6 +323,20 @@ class TestCompare:
         assert len(table) == 3
         assert table[1][5] != ""
 
+    def test_error_cell_is_quoted_as_csv_writer_quotes(self, workdir, monkeypatch):
+        message = 'split "a", then b'
+
+        def failing_run(ds, seed, **kwargs):
+            raise ValueError(message)
+
+        monkeypatch.setattr(experiments, "compare_run", failing_run)
+        assert run("compare", "--n", "60", "--seeds", "4", "--out", "cmp.csv") == 3
+        want = io.StringIO()
+        csv.writer(want).writerows([["seed", "baseline_mape", "dafr_mape", "oracle_mape",
+                                     "result", "error"], [4, "", "", "", "", message]])
+        assert Path("cmp.csv").read_bytes() == want.getvalue().encode()
+        assert b'"split ""a"", then b"' in Path("cmp.csv").read_bytes()
+
     def test_bad_seed_list_is_usage_error(self, workdir, capsys):
         assert run("compare", "--seeds", "1,two") == 2
         assert "--seeds" in capsys.readouterr().err
@@ -327,6 +372,16 @@ def _model_file(edit):
     return ["score", "--model", "model.json", "--data", "pw.csv", "--target", "y"]
 
 
+def _out_directory(command, out):
+    make_data(n=200)
+    model = []
+    if command != "train":
+        assert run("train", "--data", "pw.csv", "--target", "y", "--out", "model.json") == 0
+        Path(out).mkdir()
+        model = ["--model", "model.json"]
+    return [command, *model, "--data", "pw.csv", "--target", "y", "--out", out]
+
+
 def _tiny_holdout():
     make_data(n=200)
     return ["train", "--data", "pw.csv", "--target", "y", "--test-fraction", "0.001"]
@@ -342,6 +397,12 @@ HOSTILE = {
         lambda: _model_file(lambda doc: doc["profiles"].update(before=[])),
         3, "model-parse: malformed model document: no profile rows"),
     "empty-holdout": (_tiny_holdout, 3, "pipeline: test_fraction 0.001 of 200 rows"),
+    "train-out-dot": (lambda: _out_directory("train", "."),
+                      3, "io: [Errno 21] Is a directory: '.'"),
+    "score-out-directory": (lambda: _out_directory("score", "outdir"),
+                            3, "io: [Errno 21] Is a directory: 'outdir'"),
+    "diagnose-out-directory": (lambda: _out_directory("diagnose", "outdir"),
+                               3, "io: [Errno 21] Is a directory: 'outdir'"),
 }
 # hand-edited sidecar values of the wrong JSON type: option -> (value, expected type)
 WRONG_TYPES = {
@@ -379,3 +440,4 @@ def test_hostile_input_gives_one_error_line(workdir, capsys, case):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix)
+    assert not list(workdir.rglob("*.tmp"))

@@ -1,7 +1,11 @@
 """Tests for CSV loading, splitting, and standardization."""
 
+import ast
 import csv
 import math
+import os
+import stat
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dafr import dataset
 from dafr.dataset import (
     Dataset,
     Scaler,
@@ -20,8 +25,10 @@ from dafr.dataset import (
     load_feature_csv,
     train_test_split,
     write_csv,
+    write_rows,
 )
 from dafr.errors import CellError, InputError
+from dafr.metrics import DecileProfile, decile_mape_profile, write_profile_csv
 
 
 def make_ds(n=10, p=2, seed=0):
@@ -204,6 +211,129 @@ class TestWriteCsv:
         write_csv(ds, tmp_path / "got.csv")
         reference_write(ds, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def profile():
+    y = np.arange(1.0, 41.0)
+    return decile_mape_profile(y, 1.1 * y)
+
+
+def failing_after(items, n):
+    """The first ``n`` of ``items``, then an error: a write that dies part-way."""
+    yield from items[:n]
+    raise RuntimeError("disk went away")
+
+
+def write_csv_failing(path, monkeypatch):
+    monkeypatch.setattr(dataset, "_WRITE_ROWS", 4)
+    column_stack, calls = np.column_stack, []
+
+    def failing_on_second_block(arrays):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("disk went away")
+        return column_stack(arrays)
+
+    monkeypatch.setattr(np, "column_stack", failing_on_second_block)
+    write_csv(make_ds(n=10, seed=1), path)
+
+
+# writer -> (a complete write to path, a different write that fails part-way)
+WRITERS = {
+    "write_csv": (lambda path: write_csv(make_ds(n=10), path), write_csv_failing),
+    "write_profile_csv": (
+        lambda path: write_profile_csv(profile(), path),
+        lambda path, monkeypatch: write_profile_csv(
+            DecileProfile(failing_after(profile().bins[::-1], 3), 1.0), path)),
+    "write_rows": (
+        lambda path: write_rows(path, ["a", "b"], [[1, 0.1], ["x,y", 'say "hi"']]),
+        lambda path, monkeypatch: write_rows(path, ["b", "a"], failing_after([[2, 0.2]], 1))),
+}
+
+
+def file_writes(source):
+    """Line numbers of the calls in ``source``, outside ``atomic_write``, that
+    open a file to write: ``open`` or ``.open`` with a mode that is not
+    read-only (a path or flags given as the first argument of ``x.open``
+    count too), ``.write_text`` and ``.write_bytes``."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "atomic_write"
+              for node in ast.walk(fn)}
+    lines = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or id(call) in inside:
+            continue
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        first = 1 if isinstance(func, ast.Name) else 0  # open(file, mode) vs path.open(mode)
+        modes = call.args[first:first + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+        if name in ("write_text", "write_bytes") or name == "open" and any(
+                not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                     and set(m.value) <= set("rbt")) for m in modes):
+            lines.append(call.lineno)
+    return lines
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        write, write_failing = WRITERS[writer]
+        path = tmp_path / "out.csv"
+        write(path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="disk went away"):
+            write_failing(path, monkeypatch)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_error_names_the_target(self, tmp_path, writer):
+        target = tmp_path / "absent" / "out.csv"
+        with pytest.raises(FileNotFoundError) as err:
+            WRITERS[writer][0](target)
+        assert err.value.filename == str(target)
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_fifo_target_gets_the_bytes_in_place(self, tmp_path, writer):
+        write = WRITERS[writer][0]
+        write(tmp_path / "regular.csv")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write(fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [(tmp_path / "regular.csv").read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "regular.csv"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_symlink_target_is_written_through(self, tmp_path, writer):
+        write = WRITERS[writer][0]
+        write(tmp_path / "regular.csv")
+        (tmp_path / "linked.csv").write_text("old")
+        link = tmp_path / "link"
+        link.symlink_to("linked.csv")
+        write(link)
+        assert link.is_symlink()
+        assert (tmp_path / "linked.csv").read_bytes() == (tmp_path / "regular.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "linked.csv", "regular.csv"]
+
+    def test_guard_finds_each_kind_of_write(self):
+        source = ('open(p, "w")\nPath(p).open(mode="a")\np.write_text("x")\n'
+                  'open(p)\nPath(p).open(newline="")\nopen(p, "rb")\n'
+                  'def atomic_write(p):\n    open(p, "w")\n')
+        assert file_writes(source) == [1, 2, 3]
+
+    def test_every_file_write_goes_through_atomic_write(self):
+        package = Path(dataset.__file__).parent
+        found = {path.name: file_writes(path.read_text(encoding="utf-8"))
+                 for path in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def reference_cell(text, row, column):
