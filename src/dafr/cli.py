@@ -29,8 +29,8 @@ from .synth import KINDS, SynthConfig, generate
 
 log = logging.getLogger("dafr")
 
-# training rows the summary routes leave-one-out; each costs one scan of
-# the references, so the summary is O(SUMMARY_ROWS * n * p), not O(n^2 * p)
+# training rows the summary routes leave-one-out (so not O(n^2 * p)); each
+# scans only the k-d leaves that can hold its k + 1 nearest, all at high p
 SUMMARY_ROWS = 2000
 
 # command -> option -> builtin default; key order is the --help flag order

@@ -16,7 +16,11 @@ reference for every query.
 
 A reference row can also be routed leave-one-out, as if it were not among
 the references: this is how a training summary reports routing without
-counting each row as its own nearest neighbour.
+counting each row as its own nearest neighbour. It scans only the leaves of
+a median-split k-d tree, built per call, whose boxes lie within the row's
+(k + 1)-th distance among its own leaf's rows plus the certificate's slack:
+a leaf is skipped only when strictly farther, so ties are kept, and the
+rows scanned go through the same filter and certificate in row order.
 """
 
 from __future__ import annotations
@@ -35,6 +39,13 @@ _BLOCK_CELLS = 1 << 16
 _MIN_BLOCK = 16
 # candidates kept beyond k by the matrix-product filter
 _SPARE = 8
+# leave-one-out routing's k-d leaves hold _LEAF // 2 to _LEAF rows
+_LEAF = 64
+# a group of leave-one-out queries costs as much as scanning this many
+# query x reference cells, however few it scans
+_GROUP_CELLS = 1 << 13
+# (query, node) pairs x columns a k-d tree walk may hold (2 MB per array)
+_WALK_CELLS = 1 << 18
 # above this |z|^2 + max|r|^2 the approximate distances may overflow
 _MAX_SCALE = 1e300
 
@@ -64,6 +75,13 @@ TAGS = tuple(s.tag for s in SegmentLabel)
 _CODES = {s.tag: int(s) for s in SegmentLabel}
 
 
+def _slack(scale, p: int):
+    """Bound on the rounding error of a squared distance between rows of
+    squared norms summing to ``scale``, however it is computed (p-term dot
+    products and sums, plus an absolute term for underflow)."""
+    return 8 * (p + 4) * (np.finfo(float).eps * scale + np.finfo(float).tiny)
+
+
 def _k_nearest(refs, ref_sq, Z, k, work) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the k nearest references to each query in ``Z``, ordered by
     (squared distance, row), and each query's smallest squared distance.
@@ -79,35 +97,160 @@ def _k_nearest(refs, ref_sq, Z, k, work) -> tuple[np.ndarray, np.ndarray]:
     m = min(n_ref, k + _SPARE)
     zz = np.einsum("ij,ij->i", Z, Z)
     with np.errstate(over="ignore", invalid="ignore"):
-        approx = np.matmul(Z, refs.T, out=work[:Z.shape[0]])
-        approx *= -2.0
+        # scaling by -2 is exact, and |z|^2 is added only to the one value
+        # read below: fl(x + |z|^2) is monotone in x, so it selects alike
+        approx = np.matmul(Z * -2.0, refs.T, out=work[:Z.shape[0]])
         approx += ref_sq
-        approx += zz[:, None]
-    if m < n_ref:
-        part = np.argpartition(approx, m, axis=1)
-        cand = part[:, :m]
-        # smallest approximate distance among the references left out
-        outside = np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0]
-    else:
-        cand = np.broadcast_to(np.arange(n_ref), (Z.shape[0], n_ref))
-        outside = np.full(Z.shape[0], np.inf)
+        if m < n_ref:
+            part = np.argpartition(approx, m, axis=1)
+            cand = part[:, :m]
+            # smallest approximate distance among the references left out
+            outside = np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0] + zz
+        else:
+            cand = np.broadcast_to(np.arange(n_ref), (Z.shape[0], n_ref))
+            outside = np.full(Z.shape[0], np.inf)
     exact = np.sum((refs[cand] - Z[:, None, :]) ** 2, axis=2)
     order = np.lexsort((cand, exact))
     top = np.take_along_axis(cand, order[:, :k], axis=1)
     ranked = np.take_along_axis(exact, order[:, :k], axis=1)
-    # |approximate - exact| <= slack (rounding in p-term dot products and
-    # sums, plus an absolute term for underflow), so a left-out reference
-    # that could tie or beat the k-th candidate would have an approximate
-    # distance within slack of the k-th exact distance
+    # a left-out reference that could tie or beat the k-th candidate would
+    # have an approximate distance within slack of the k-th exact distance
     scale = zz + ref_sq.max()
-    slack = 8 * (p + 4) * (np.finfo(float).eps * scale + np.finfo(float).tiny)
-    certified = (outside > ranked[:, -1] + 2 * slack) & (scale < _MAX_SCALE)
+    certified = (outside > ranked[:, -1] + 2 * _slack(scale, p)) & (scale < _MAX_SCALE)
     for i in np.flatnonzero(~certified):
         d2 = np.sum((refs - Z[i]) ** 2, axis=1)
         # stable sort: equal distances keep ascending row order
         top[i] = np.argsort(d2, kind="stable")[:k]
         ranked[i] = d2[top[i]]
     return top, ranked[:, 0]
+
+
+def _blocks(refs, ref_sq, Z, k):
+    """Yield (block slice, k nearest rows, smallest squared distance) for
+    consecutive blocks of standardized queries."""
+    step = max(1, _BLOCK_CELLS // len(refs), min(_MIN_BLOCK, (1 << 21) // len(refs)))
+    work = np.empty((min(step, Z.shape[0]), refs.shape[0]))
+    for lo in range(0, Z.shape[0], step):
+        block = slice(lo, lo + step)
+        yield (block, *_k_nearest(refs, ref_sq, Z[block], k, work))
+
+
+def _kd_tree(X):
+    """Median-split k-d tree over the rows of ``X``, nodes at depth d split
+    on column d mod p, down to leaves of _LEAF // 2 to _LEAF rows. Returns
+    each leaf's row indices, padded with len(X), and the nodes' bounding
+    boxes (lower, upper) per depth, root first: j's children are 2j, 2j + 1.
+    """
+    perm, starts, sizes = np.arange(len(X)), np.zeros(1, dtype=int), np.array([len(X)])
+    while sizes.max() > _LEAF:
+        dim = (len(sizes).bit_length() - 1) % X.shape[1]  # 2 ** depth nodes
+        for first, size in zip(starts, sizes):
+            node = perm[first:first + size]
+            node[:] = node[np.argpartition(X[node, dim], size // 2)]
+        sizes = np.column_stack([sizes // 2, sizes - sizes // 2]).ravel()
+        starts = np.cumsum(sizes) - sizes
+    lo, hi = np.empty((len(sizes), X.shape[1])), np.empty((len(sizes), X.shape[1]))
+    for j in range(X.shape[1]):  # a column at a time: no permuted copy of X
+        lo[:, j] = np.minimum.reduceat(X[perm, j], starts)
+        hi[:, j] = np.maximum.reduceat(X[perm, j], starts)
+    boxes = [(lo, hi)]
+    while len(boxes[0][0]) > 1:
+        lo, hi = boxes[0]
+        boxes.insert(0, (np.minimum(lo[0::2], lo[1::2]), np.maximum(hi[0::2], hi[1::2])))
+    ids = np.full((len(sizes), sizes.max()), len(X))
+    leaf = np.repeat(np.arange(len(sizes)), sizes)
+    ids[leaf, np.arange(len(X)) - starts[leaf]] = perm
+    return ids, boxes
+
+
+def _near_leaves(boxes, Z, bound):
+    """(query, leaf) pairs whose leaf box lies within the query's bound on
+    squared distance, walking the k-d tree ``boxes`` down from the root;
+    every pair once the walk holds more than _WALK_CELLS cells, so that it
+    takes little memory where it prunes little."""
+    query, node = np.arange(len(Z)), np.zeros(len(Z), dtype=int)
+    for depth, (lo, hi) in enumerate(boxes):
+        if depth:  # the children of each pair's node
+            query, node = np.repeat(query, 2), np.repeat(2 * node, 2)
+            node[1::2] += 1
+        if query.size * Z.shape[1] > _WALK_CELLS:
+            leaves = len(boxes[-1][0])
+            return np.repeat(np.arange(len(Z)), leaves), np.tile(np.arange(leaves), len(Z))
+        z = Z[query]
+        gap = np.minimum(np.maximum(z, lo[node]), hi[node]) - z
+        near = np.einsum("ij,ij->i", gap, gap) <= bound[query]
+        query, node = query[near], node[near]
+    return query, node
+
+
+def _left_out_groups(refs, ref_sq, rows, k):
+    """Yield groups of leave-one-out queries (``rows`` are reference rows):
+    their positions in ``rows`` and the reference rows, ascending, that can
+    hold each one's k nearest, or None for all rows.
+
+    A query's k-th squared distance among its own leaf's rows, plus the
+    rounding slack, bounds its true k-th. Walking down from the root, a node
+    is dropped only when its box lies strictly farther than that, so no
+    reference that could tie the k-th nearest is lost. Scanning costs
+    _GROUP_CELLS per group, and per reference row one cell per query and p
+    to gather the row. The next leaf's queries join a group while that costs
+    less than scanning them apart; a group scans every row, ungathered, when
+    that costs less, and once a chunk of queries would, so do all the rest.
+    """
+    n, p = refs.shape
+    # else every leaf holds k rows or more, and no distance can overflow
+    if k > _LEAF // 2 or n <= _LEAF or 2 * ref_sq.max() >= _MAX_SCALE:
+        yield np.arange(len(rows)), None
+        return
+    ids, boxes = _kd_tree(refs)
+    sizes = (ids < n).sum(axis=1)
+    leaf_of = np.empty(n + 1, dtype=int)
+    leaf_of[ids] = np.arange(len(ids))[:, None]
+    order = np.argsort(leaf_of[rows], kind="stable")
+
+    def cost(queries, union):
+        return (queries + p) * (union @ sizes)
+
+    def scan(group, union):
+        if cost(len(group), union) >= len(group) * n:
+            return group, None
+        return group, np.sort(ids[union], axis=None)[:union @ sizes]
+
+    Q, own = refs[rows[order]], leaf_of[rows[order]]
+    bound = _slack(ref_sq[rows[order]] + ref_sq.max(), p)
+    # each leaf's rows, padded with infinitely far ones
+    leaves = refs[np.minimum(ids, n - 1)]
+    leaves[ids == n] = np.inf
+    # in chunks whose query x leaf-row x column temporaries stay near 64 KB
+    step = max(1, _BLOCK_CELLS // 8 // leaves[0].size)
+    for c in range(0, len(order), step):
+        d = leaves[own[c:c + step]] - Q[c:c + step, None, :]
+        bound[c:c + step] += np.partition(np.einsum("ijk,ijk->ij", d, d), k - 1)[:, k - 1]
+    del leaves  # n x p floats, not needed while the groups are scanned
+    # queries per walk, so a query x leaf x column array stays near 0.5 MB
+    step = max(_MIN_BLOCK, _BLOCK_CELLS // (len(ids) * p))
+    group, union = order[:0], None
+    for c in range(0, len(order), step):
+        at, leaf = order[c:c + step], own[c:c + step]
+        query, node = _near_leaves(boxes, Q[c:c + step], bound[c:c + step])
+        first = np.diff(leaf, prepend=-1) != 0
+        needs = np.zeros((first.sum(), len(ids)), dtype=bool)
+        needs[np.cumsum(first)[query] - 1, node] = True
+        cuts = np.flatnonzero(first)
+        if (_GROUP_CELLS + cost(np.diff(cuts, append=len(at)), needs)).sum() >= len(at) * n:
+            group, union = np.concatenate([group, order[c:]]), np.ones(len(ids), dtype=bool)
+            break
+        for piece, need in zip(np.split(at, cuts[1:]), needs):
+            if len(group):
+                merged = union | need
+                apart = cost(len(group), union) + cost(len(piece), need) + _GROUP_CELLS
+                if cost(len(group) + len(piece), merged) <= apart:
+                    group, union = np.concatenate([group, piece]), merged
+                    continue
+                yield scan(group, union)
+            group, union = piece, need
+    if len(group):
+        yield scan(group, union)
 
 
 def _majority(neighbors: np.ndarray) -> np.ndarray:
@@ -179,26 +322,16 @@ class KnnRouter:
             raise ValueError("query contains NaN or infinite values")
         return self.scaler.transform(X)
 
-    def _blocks(self, Z: np.ndarray, k: int):
-        """Yield (block slice, k nearest rows, smallest squared distance)
-        for consecutive blocks of standardized queries."""
-        refs = self.reference_points
-        ref_sq = np.einsum("ij,ij->i", refs, refs)
-        step = max(1, _BLOCK_CELLS // len(refs), min(_MIN_BLOCK, (1 << 21) // len(refs)))
-        work = np.empty((min(step, Z.shape[0]), refs.shape[0]))
-        for lo in range(0, Z.shape[0], step):
-            block = slice(lo, lo + step)
-            yield (block, *_k_nearest(refs, ref_sq, Z[block], k, work))
-
     def _route(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Labels and nearest-reference distances for standardized rows.
 
         ``route`` and ``route_many`` both call this, so neither public
         method runs inside the other.
         """
+        refs = self.reference_points
         labels = np.empty(Z.shape[0], dtype=int)
         dists = np.empty(Z.shape[0])
-        for block, top, nearest_sq in self._blocks(Z, self.k):
+        for block, top, nearest_sq in _blocks(refs, np.einsum("ij,ij->i", refs, refs), Z, self.k):
             labels[block] = _majority(self.labels[top])
             dists[block] = np.sqrt(nearest_sq)
         return labels, dists
@@ -224,7 +357,8 @@ class KnnRouter:
         and drops only its own index, so a duplicate at distance 0 stays a
         neighbour; when the row itself is not among them, the first k are
         kept. The vote then uses min(k, n - 1) neighbours and the usual tie
-        rule.
+        rule. Each row scans only the k-d leaves that can hold its k + 1
+        nearest (see the module docstring).
         """
         rows = np.asarray(rows, dtype=int).ravel()
         n = self.n_references
@@ -233,11 +367,16 @@ class KnnRouter:
         if rows.size and not (0 <= rows.min() and rows.max() < n):
             raise ValueError(f"reference rows must lie in [0, {n - 1}]")
         k = min(self.k + 1, n)
+        refs = self.reference_points
+        ref_sq = np.einsum("ij,ij->i", refs, refs)
         labels = np.empty(rows.shape[0], dtype=int)
-        for block, top, _ in self._blocks(self.reference_points[rows], k):
-            keep = top != rows[block, None]
-            keep[keep.all(axis=1), -1] = False
-            labels[block] = _majority(self.labels[top[keep].reshape(-1, k - 1)])
+        for at, near in _left_out_groups(refs, ref_sq, rows, k):
+            cand = (refs, ref_sq) if near is None else (refs[near], ref_sq[near])
+            for block, top, _ in _blocks(*cand, refs[rows[at]], k):
+                top = top if near is None else near[top]
+                keep = top != rows[at[block], None]
+                keep[keep.all(axis=1), -1] = False
+                labels[at[block]] = _majority(self.labels[top[keep].reshape(-1, k - 1)])
         return labels
 
     def to_json(self, with_points: bool = True) -> dict:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dafr import simfn
 from dafr.dataset import Scaler
 from dafr.simfn import KnnRouter, SegmentLabel, knn_fit
+from dafr.synth import SynthConfig, generate
 
 F, M, B = SegmentLabel.FRONT, SegmentLabel.MID, SegmentLabel.BACK
 
@@ -271,18 +272,97 @@ class TestLeaveOneOut:
             single.route_left_out([0])
 
 
+def record_scanned_rows(monkeypatch):
+    """Patch the distance kernel to list the reference count of each call."""
+    scanned = []
+    k_nearest = simfn._k_nearest
+
+    def spy(refs, ref_sq, Z, k, work):
+        scanned.append(len(refs))
+        return k_nearest(refs, ref_sq, Z, k, work)
+
+    monkeypatch.setattr(simfn, "_k_nearest", spy)
+    return scanned
+
+
+class TestPrunedLeaveOneOut:
+    """route_left_out with k-d leaves of a few rows and no cost per group
+    of queries, so that most problems skip some leaves: labels must still
+    equal deleting the row."""
+
+    # the last case caps the tree walk, so every leaf counts as near
+    @pytest.mark.parametrize("leaf, walk", [(4, 1 << 18), (6, 1 << 18), (6, 4)])
+    @given(problem=left_out_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_small_leaves_equal_deleting_the_row(self, leaf, walk, problem):
+        refs, labels, k, rows = problem
+        router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(refs.shape[1]))
+        expected = [left_out_oracle(refs, labels, k, i) for i in rows]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simfn, "_LEAF", leaf)
+            mp.setattr(simfn, "_GROUP_CELLS", 0)
+            mp.setattr(simfn, "_WALK_CELLS", walk)
+            assert router.route_left_out(rows).tolist() == expected
+
+    @pytest.mark.parametrize("leaf", [4, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_tie_heavy_grid_equals_deleting_the_row(self, monkeypatch, leaf, p):
+        monkeypatch.setattr(simfn, "_LEAF", leaf)
+        monkeypatch.setattr(simfn, "_GROUP_CELLS", 0)
+        rng = np.random.default_rng(p)
+        refs = rng.integers(-3, 4, size=(300, p)).astype(float)
+        labels = rng.integers(0, 3, size=300)
+        rows = np.arange(300)
+        scanned = record_scanned_rows(monkeypatch)
+        for k in (1, 2, 299, 300):
+            router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(p))
+            expected = [left_out_oracle(refs, labels, k, i) for i in rows]
+            scanned.clear()
+            assert router.route_left_out(rows).tolist() == expected
+            if k + 1 <= leaf // 2:  # every leaf holds k + 1 rows: some are skipped
+                assert min(scanned) < 300
+
+    def test_some_scan_skips_references(self, monkeypatch):
+        # the gate on the pruning itself: on a few thousand rows at p = 3 the
+        # kernel must see fewer than all references for some queries, and
+        # the labels must equal a full scan's (a single leaf scans them all)
+        ds = generate(SynthConfig(kind="piecewise_three", n=3000, p=3, seed=4))
+        labels = np.digitize(ds.target, np.quantile(ds.target, [0.3, 0.7]))
+        router = knn_fit(ds.features, labels, k=5)
+        rows = np.random.default_rng(4).choice(3000, 500, replace=False)
+        scanned = record_scanned_rows(monkeypatch)
+        pruned = router.route_left_out(rows)
+        assert min(scanned) < 3000
+        assert router.route_left_out([]).tolist() == []
+        monkeypatch.setattr(simfn, "_LEAF", 3000)
+        scanned.clear()
+        assert pruned.tolist() == router.route_left_out(rows).tolist()
+        assert scanned and min(scanned) == 3000
+
+
 class TestBlockFloor:
     def test_floor_sized_blocks_match_the_oracles(self, monkeypatch):
         # one cell per block: the floor alone sets the block size
         monkeypatch.setattr(simfn, "_BLOCK_CELLS", 1)
-        sizes = []
+        # leaves of 5 rows and no cost per group of leave-one-out queries,
+        # so those can run in several groups
+        monkeypatch.setattr(simfn, "_LEAF", 8)
+        monkeypatch.setattr(simfn, "_GROUP_CELLS", 0)
+        sizes, groups, counts = [], [], []
         k_nearest = simfn._k_nearest
+        candidates = simfn._left_out_groups
 
         def spy(refs, ref_sq, Z, k, work):
             sizes.append(Z.shape[0])
             return k_nearest(refs, ref_sq, Z, k, work)
 
+        def record(*args):
+            for at, near in candidates(*args):
+                groups.append(len(at))
+                yield at, near
+
         monkeypatch.setattr(simfn, "_k_nearest", spy)
+        monkeypatch.setattr(simfn, "_left_out_groups", record)
         rng = np.random.default_rng(9)
         for refs in (rng.integers(-1, 2, size=(80, 2)).astype(float),
                      rng.normal(size=(80, 5))):
@@ -294,8 +374,14 @@ class TestBlockFloor:
             left_out = [left_out_oracle(refs, labels, 3, i) for i in rows]
             sizes.clear()
             assert router.route_many(queries).tolist() == routed
+            assert sizes == [16, 16, 8]
+            sizes.clear()
+            groups.clear()
             assert router.route_left_out(rows).tolist() == left_out
-            assert sizes == [16, 16, 8] * 2
+            # each group of leave-one-out queries runs in floor-sized blocks
+            assert sizes == [min(16, g - lo) for g in groups for lo in range(0, g, 16)]
+            counts.append(len(groups))
+        assert max(counts) > 1
 
 
 class TestValidation:
