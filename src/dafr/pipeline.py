@@ -10,6 +10,7 @@ segment's model.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -35,14 +36,24 @@ from .metrics import (
     quantile,
     rmse,
 )
-from .simfn import KnnRouter, SegmentLabel, knn_fit
+from .simfn import TAGS, KnnRouter, SegmentLabel, knn_fit
 
 MODEL_VERSION = 2
 # reference rows save_model formats per json.dumps call
 _BLOCK_ROWS = 2048
-# bytes of reference rows load_model parses per json.loads call
-_CHUNK_BYTES = 1 << 16
+# bytes load_model reads per piece of the model file
+_CHUNK_BYTES = 1 << 14
 _POINTS = '"reference_points": '
+# save_model's reference matrix starts after _HEAD and ends with _TAIL
+_HEAD = (_POINTS + "[[").encode()
+_TAIL = b']], "labels": ['
+# save_model's label tags, each quoted and followed by ", " (NUL-padded to
+# one width), and bytes.translate arguments that keep only each tag's first
+# letter, turned into the tag's code
+_PADDED = np.array([f'"{tag}", '.encode() for tag in TAGS])
+_INITIALS = bytes(ord(tag[0]) for tag in TAGS)
+_TO_CODE = bytes.maketrans(_INITIALS, bytes(range(len(TAGS))))
+_NOT_INITIAL = bytes(b for b in range(256) if b not in _INITIALS)
 
 
 @dataclass(frozen=True)
@@ -397,50 +408,115 @@ def save_model(model: DafrModel, path) -> None:
         fh.write("]" + tail + "\n")
 
 
-def _streamed_document(data: bytes) -> dict:
-    """The document in ``data``, its reference matrix parsed a chunk of rows
-    at a time into one array. Raises unless the layout is save_model's: one
-    ``"reference_points": [[`` and no backslash (no escaped key) outside it."""
-    start = data.find((_POINTS + "[[").encode()) + len(_POINTS)
-    if start < len(_POINTS) or data.count(b"reference_points") != 1:
-        raise ValueError("not save_model's layout")
-    end = data.index(b"]]", start) + 2
-    obj = json.loads((data[:start] + b"null" + data[end:]).decode("utf-8"))
-    if b"\\" in data[:start] + data[end:] or obj["router"]["reference_points"] is not None:
-        raise ValueError("not save_model's layout")
-    # n and p from the separators and the first row; a miscount fails below
-    n = data.count(b"], [", start, end) + 1
-    p = data.count(b", ", start, data.index(b"]", start)) + 1
-    points, row, lo = np.empty((n, p)), 0, start + 1
-    while lo < end - 1:
-        cut = data.find(b"], [", lo + _CHUNK_BYTES, end)
-        hi = end - 1 if cut < 0 else cut + 1
-        block = np.array(json.loads("[" + data[lo:hi].decode("utf-8") + "]"), dtype=float)
-        if block.shape[1:] != (p,):
-            raise ValueError("reference rows differ in shape")
-        points[row:row + len(block)] = block
-        row, lo = row + len(block), hi + 2
+def _label_codes(text: bytes) -> np.ndarray | None:
+    """Segment codes of a labels list spelled exactly as save_model spells
+    it, else None. A tag's first letter occurs in no other tag, so the
+    codes are those letters in order; rendering them back must give
+    ``text``, byte for byte."""
+    codes = np.frombuffer(text.translate(_TO_CODE, _NOT_INITIAL), dtype=np.int8)
+    rendered = _PADDED[codes].tobytes().replace(b"\0", b"")
+    return codes if text[1:-1] == rendered[:-2] else None
+
+
+def _span(fh, size: int, marker: bytes, last: bool = False) -> tuple[int, bytes]:
+    """Offset just past the file's first ``marker`` and the bytes before it,
+    or with ``last`` the offset of its last ``marker`` and the bytes from
+    there on: read from that end in spans that double until one holds it."""
+    span = _CHUNK_BYTES
+    while True:
+        lo = max(0, size - span) if last else 0
+        fh.seek(lo)
+        text = fh.read(min(span, size))
+        at = text.rfind(marker) if last else text.find(marker)
+        if at >= 0:
+            return (lo + at, text[at:]) if last else (at + len(marker), text[:at + len(marker)])
+        if span >= size:
+            raise ValueError("not save_model's layout")
+        span *= 2
+
+
+def _row_blocks(fh, lo: int, hi: int):
+    """Float blocks of the rows ``[..], [..], ...`` in bytes [lo, hi) of the
+    file, read a piece at a time and parsed up to the last row separator."""
+    fh.seek(lo)
+    rest = b""
+    while lo < hi:
+        piece = fh.read(min(_CHUNK_BYTES, hi - lo))
+        if not piece:
+            raise ValueError("model file shrank while read")
+        lo += len(piece)
+        text = rest + piece
+        cut = text.rfind(b"], [") + 1 if lo < hi else len(text)
+        rest = text[cut + 2:] if cut else text
+        if cut:
+            yield np.array(json.loads((b"[" + text[:cut] + b"]").decode("utf-8")), dtype=float)
+
+
+def _read_in_pieces(path) -> dict:
+    """The document at ``path`` in save_model's layout, holding one piece of
+    the reference matrix's text at a time; raises on any other layout.
+
+    It reads the head up to ``"reference_points": [[``, then the tail from
+    the ``]], "labels": [`` that closes the matrix, parses head + ``null`` +
+    tail (the labels decoded by ``_label_codes`` when they are save_model's,
+    which also gives the row count), then the rows, piece by piece, into
+    one preallocated read-only matrix that the router keeps. Parsing the
+    whole text gives the same document: the head and tail hold no backslash
+    (no escaped key), the tail no ``"reference_points"`` (so the null is
+    the router's last such key), and every piece is a list of equal-width
+    rows.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        start, head = _span(fh, size, _HEAD)
+        end, tail = _span(fh, size, _TAIL, last=True)
+        head, tail = head[:-2], tail[2:]
+        if end < start or b"\\" in head + tail or b"reference_points" in tail:
+            raise ValueError("not save_model's layout")
+        at = len(_TAIL) - 3
+        close = tail.index(b"]", at) + 1
+        codes = _label_codes(tail[at:close]) if tail.count(b'"labels"') == 1 else None
+        if codes is not None:
+            tail = tail[:at] + b"null" + tail[close:]
+        obj = json.loads((head + b"null" + tail).decode("utf-8"))
+        router = obj["router"]
+        if router["reference_points"] is not None:
+            raise ValueError("not save_model's layout")
+        if codes is not None:
+            router["labels"] = codes
+        n, row, points = len(router["labels"]), 0, None
+        for block in _row_blocks(fh, start - 1, end + 1):
+            if points is None:
+                points = np.empty((n, block.shape[1]))
+            if block.shape[1:] != points.shape[1:] or row + len(block) > n:
+                raise ValueError("reference rows differ in shape or count from the labels")
+            points[row:row + len(block)] = block
+            row += len(block)
     if row != n:
-        raise ValueError(f"{row} reference rows parsed, {n} counted")
-    obj["router"]["reference_points"] = points
+        raise ValueError(f"{row} reference rows for {n} labels")
+    points.setflags(write=False)
+    router["reference_points"] = points
     return obj
 
 
 def load_model(path) -> DafrModel:
+    """The model saved at ``path``. A file in save_model's layout is read a
+    piece of ``_CHUNK_BYTES`` at a time, so beyond the model this needs about
+    one piece (and the labels' text, before the matrix exists); any other
+    layout is parsed whole, holding the whole file, to the same result or
+    the same error."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such model file: {path}")
-    data = path.read_bytes()
     try:
-        obj = _streamed_document(data)
+        obj = _read_in_pieces(path)
     except Exception:  # parse below, outside the handler: no chained errors
         obj = None
     if obj is None:
         try:
-            obj = json.loads(data.decode("utf-8"))
+            obj = json.loads(path.read_bytes().decode("utf-8"))
         except json.JSONDecodeError as err:
             raise ModelFormatError(f"{path} is not valid JSON: {err}") from None
-    del data  # before the router copies the parsed matrix
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
     return model_from_json(obj)

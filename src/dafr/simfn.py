@@ -273,19 +273,24 @@ class KnnRouter:
     scaler: Scaler
 
     def __post_init__(self):
-        refs = np.array(self.reference_points, dtype=float)
-        labels = np.asarray(self.labels).ravel().astype(int)
+        refs = self.reference_points
+        # a matrix that no other array can write is kept without a copy
+        if not (isinstance(refs, np.ndarray) and refs.dtype == np.float64
+                and refs.flags.c_contiguous and refs.flags.owndata and not refs.flags.writeable):
+            refs = np.array(refs, dtype=float)
         if refs.ndim != 2:
             raise ValueError("reference_points must be a 2-D matrix")
-        if not np.isfinite(refs).all():
+        # the extremes are finite exactly when every entry is: no n x p mask
+        if refs.size and not np.isfinite([refs.min(), refs.max()]).all():
             raise ValueError("reference_points contain NaN or infinite values")
+        labels = np.asarray(self.labels).ravel().astype(int)
         if labels.shape[0] != refs.shape[0]:
             raise ValueError(
                 f"{labels.shape[0]} labels for {refs.shape[0]} reference rows"
             )
-        bad = set(labels.tolist()) - {int(s) for s in SegmentLabel}
-        if bad:
-            raise ValueError(f"labels must be segment codes 0/1/2, got {sorted(bad)}")
+        bad = labels[(labels < 0) | (labels >= len(SegmentLabel))]
+        if bad.size:
+            raise ValueError(f"labels must be segment codes 0/1/2, got {sorted(set(bad.tolist()))}")
         if not 1 <= self.k <= refs.shape[0]:
             raise ValueError(
                 f"k must lie in [1, {refs.shape[0]}] for {refs.shape[0]} "
@@ -389,10 +394,14 @@ class KnnRouter:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KnnRouter":
+        """Router of a ``to_json`` document, whose labels may also come
+        decoded already, as an array of segment codes."""
+        labels = obj["labels"]
+        if not isinstance(labels, np.ndarray):
+            labels = [_CODES[t] if t in _CODES else int(SegmentLabel.from_tag(t)) for t in labels]
         return cls(
             reference_points=obj["reference_points"],
-            labels=[_CODES[t] if t in _CODES else int(SegmentLabel.from_tag(t))
-                    for t in obj["labels"]],
+            labels=labels,
             k=int(obj["k"]),
             scaler=Scaler.from_json(obj["scaler"]),
         )

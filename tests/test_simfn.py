@@ -400,6 +400,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="segment codes"):
             KnnRouter([[0.0], [1.0]], [0, 7], k=1, scaler=identity_scaler(1))
 
+    def test_bad_label_codes_are_listed_once_in_order(self):
+        with pytest.raises(ValueError, match=r"segment codes 0/1/2, got \[-1, 3, 7\]$"):
+            KnnRouter(np.arange(5.0)[:, None], [7, 1, -1, 7, 3], k=1, scaler=identity_scaler(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_any_non_finite_reference_is_refused(self, bad):
+        refs = np.arange(12.0).reshape(6, 2)
+        refs[4, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            KnnRouter(refs, [F] * 6, k=1, scaler=identity_scaler(2))
+
     def test_query_width_mismatch(self):
         router = knn_fit([[0.0, 0.0], [1.0, 1.0]], [F, B], k=1)
         with pytest.raises(ValueError, match="2 features, got 3"):
@@ -413,6 +424,47 @@ class TestValidation:
     def test_non_finite_references(self):
         with pytest.raises(ValueError, match="NaN or infinite"):
             KnnRouter([[np.inf]], [F], k=1, scaler=identity_scaler(1))
+
+
+def _read_only(points):
+    points.setflags(write=False)
+    return points
+
+
+POINTS = np.arange(8.0).reshape(4, 2)
+
+
+class TestOwnership:
+    """The router keeps, uncopied, a matrix no other array can write."""
+
+    def router(self, points):
+        return KnnRouter(points, [F, M, B, M], k=1, scaler=identity_scaler(2))
+
+    def test_read_only_owned_matrix_is_kept(self):
+        points = _read_only(POINTS.copy())
+        assert np.shares_memory(self.router(points).reference_points, points)
+
+    @pytest.mark.parametrize("make", [
+        lambda: POINTS.tolist(),
+        lambda: POINTS.copy(),
+        lambda: _read_only(np.asfortranarray(POINTS)),
+        lambda: _read_only(POINTS.astype(np.int64)),
+        lambda: _read_only(POINTS.astype(np.float32)),
+        lambda: _read_only(POINTS.copy())[:],
+    ], ids=["list", "writable", "fortran-order", "integer", "float32", "view"])
+    def test_anything_else_is_copied(self, make):
+        points = make()
+        router = self.router(points)
+        assert not np.shares_memory(router.reference_points, np.asarray(points))
+        assert not router.reference_points.flags.writeable
+        assert np.array_equal(router.reference_points, POINTS)
+
+    def test_later_writes_to_the_callers_array_do_not_reach_the_router(self):
+        points = POINTS.copy()
+        router = self.router(points)
+        points[:] = -1.0
+        assert np.array_equal(router.reference_points, POINTS)
+        assert points.flags.writeable
 
 
 class TestSerialization:
