@@ -418,21 +418,36 @@ def _label_codes(text: bytes) -> np.ndarray | None:
     return codes if text[1:-1] == rendered[:-2] else None
 
 
-def _span(fh, size: int, marker: bytes, last: bool = False) -> tuple[int, bytes]:
-    """Offset just past the file's first ``marker`` and the bytes before it,
-    or with ``last`` the offset of its last ``marker`` and the bytes from
-    there on: read from that end in spans that double until one holds it."""
-    span = _CHUNK_BYTES
-    while True:
-        lo = max(0, size - span) if last else 0
-        fh.seek(lo)
-        text = fh.read(min(span, size))
-        at = text.rfind(marker) if last else text.find(marker)
+def _head(fh) -> bytes:
+    """The file's bytes through its first ``_HEAD``, read forward a piece at
+    a time; raises if it has none."""
+    text = bytearray()
+    while piece := fh.read(_CHUNK_BYTES):
+        start = max(0, len(text) - len(_HEAD) + 1)
+        text += piece
+        at = text.find(_HEAD, start)
         if at >= 0:
-            return (lo + at, text[at:]) if last else (at + len(marker), text[:at + len(marker)])
-        if span >= size:
-            raise ValueError("not save_model's layout")
-        span *= 2
+            return bytes(text[:at + len(_HEAD)])
+    raise ValueError("not save_model's layout")
+
+
+def _tail(fh, size: int) -> bytes:
+    """The file's bytes from its last ``_TAIL`` on, read backward a piece at
+    a time into a reversed buffer; raises if it has none."""
+    marker, text, hi = _TAIL[::-1], bytearray(), size
+    while hi > 0:
+        lo = max(0, hi - _CHUNK_BYTES)
+        fh.seek(lo)
+        piece = fh.read(hi - lo)
+        if len(piece) != hi - lo:
+            raise ValueError("model file shrank while read")
+        start = max(0, len(text) - len(marker) + 1)
+        text += piece[::-1]
+        at = text.find(marker, start)
+        if at >= 0:
+            return bytes(text[:at + len(marker)][::-1])
+        hi = lo
+    raise ValueError("not save_model's layout")
 
 
 def _row_blocks(fh, lo: int, hi: int):
@@ -457,34 +472,35 @@ def _read_in_pieces(path) -> dict:
     the reference matrix's text at a time; raises on any other layout.
 
     It reads the head up to ``"reference_points": [[``, then the tail from
-    the ``]], "labels": [`` that closes the matrix, parses head + ``null`` +
-    tail (the labels decoded by ``_label_codes`` when they are save_model's,
-    which also gives the row count), then the rows, piece by piece, into
-    one preallocated read-only matrix that the router keeps. Parsing the
-    whole text gives the same document: the head and tail hold no backslash
-    (no escaped key), the tail no ``"reference_points"`` (so the null is
-    the router's last such key), and every piece is a list of equal-width
-    rows.
+    the ``]], "labels": [`` that closes the matrix. It decodes the labels
+    with ``_label_codes``, which gives the row count, and parses head +
+    ``null`` + tail with ``null`` for the labels too. Then it parses the
+    rows, piece by piece, into one preallocated read-only matrix that the
+    router keeps. Parsing the whole text gives the same document: the head
+    and tail hold no backslash (no escaped key), the head one
+    ``"reference_points"`` and the tail none (so the null stands for the
+    document's only such key, which must be the router's), the tail one
+    ``"labels"``, and every piece is a list of equal-width rows.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        start, head = _span(fh, size, _HEAD)
-        end, tail = _span(fh, size, _TAIL, last=True)
+        head, tail = _head(fh), _tail(fh, size)
+        start, end = len(head), size - len(tail)
         head, tail = head[:-2], tail[2:]
-        if end < start or b"\\" in head + tail or b"reference_points" in tail:
+        if (end < start or b"\\" in head + tail or head.count(b"reference_points") != 1
+                or b"reference_points" in tail):
             raise ValueError("not save_model's layout")
         at = len(_TAIL) - 3
         close = tail.index(b"]", at) + 1
-        codes = _label_codes(tail[at:close]) if tail.count(b'"labels"') == 1 else None
-        if codes is not None:
-            tail = tail[:at] + b"null" + tail[close:]
-        obj = json.loads((head + b"null" + tail).decode("utf-8"))
+        codes = _label_codes(tail[at:close])
+        if codes is None or tail.count(b'"labels"') != 1:
+            raise ValueError("not save_model's layout")
+        obj = json.loads((head + b"null" + tail[:at] + b"null" + tail[close:]).decode("utf-8"))
         router = obj["router"]
         if router["reference_points"] is not None:
             raise ValueError("not save_model's layout")
-        if codes is not None:
-            router["labels"] = codes
-        n, row, points = len(router["labels"]), 0, None
+        router["labels"] = codes
+        n, row, points = len(codes), 0, None
         for block in _row_blocks(fh, start - 1, end + 1):
             if points is None:
                 points = np.empty((n, block.shape[1]))

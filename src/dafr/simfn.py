@@ -265,7 +265,12 @@ def _majority(neighbors: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class KnnRouter:
     """Maps a feature vector to a SegmentLabel by majority vote of the k
-    nearest standardized reference rows."""
+    nearest standardized reference rows.
+
+    A float64, C-ordered, read-only ``reference_points`` array that owns its
+    data is kept as given, not copied: the caller hands it over and must not
+    make it writable again. Anything else is copied.
+    """
 
     reference_points: np.ndarray
     labels: np.ndarray
@@ -274,7 +279,8 @@ class KnnRouter:
 
     def __post_init__(self):
         refs = self.reference_points
-        # a matrix that no other array can write is kept without a copy
+        # kept uncopied when read-only and owning its data: no view can write
+        # it, though its owner could make it writable again (see above)
         if not (isinstance(refs, np.ndarray) and refs.dtype == np.float64
                 and refs.flags.c_contiguous and refs.flags.owndata and not refs.flags.writeable):
             refs = np.array(refs, dtype=float)

@@ -454,6 +454,10 @@ HOSTILE_MODELS = {
     "points-in-nested-object": lambda doc: json.dumps({**doc, "router": {
         "x": {k: doc["router"][k] for k in ("reference_points", "labels")},
         **{k: v for k, v in doc["router"].items() if k != "reference_points"}}}).encode(),
+    "null-points-with-matrix-in-nested-object": lambda doc: json.dumps({**doc, "router": {
+        "reference_points": None, "labels": doc["router"]["labels"],
+        "x": {k: doc["router"][k] for k in ("reference_points", "labels")},
+        **{k: v for k, v in doc["router"].items() if k not in ("reference_points", "labels")}}}).encode(),
     "ragged-row": _edit_points(lambda points: points[10].pop()),
     "narrower-after-chunk": _edit_points(_shorten_from(10)),
     "one-cell-rows-after-chunk": _edit_points(lambda points: [r.__delitem__(slice(1, None)) for r in points[10:]]),

@@ -435,7 +435,7 @@ POINTS = np.arange(8.0).reshape(4, 2)
 
 
 class TestOwnership:
-    """The router keeps, uncopied, a matrix no other array can write."""
+    """The router keeps, uncopied, a read-only matrix that owns its data."""
 
     def router(self, points):
         return KnnRouter(points, [F, M, B, M], k=1, scaler=identity_scaler(2))
@@ -443,6 +443,15 @@ class TestOwnership:
     def test_read_only_owned_matrix_is_kept(self):
         points = _read_only(POINTS.copy())
         assert np.shares_memory(self.router(points).reference_points, points)
+
+    def test_a_kept_matrix_is_shared_with_its_owner(self):
+        # handed over, not private: an owner that makes it writable again
+        # changes the router's references
+        points = _read_only(POINTS.copy())
+        router = self.router(points)
+        points.setflags(write=True)
+        points[0, 0] = -1.0
+        assert router.reference_points[0, 0] == -1.0
 
     @pytest.mark.parametrize("make", [
         lambda: POINTS.tolist(),
