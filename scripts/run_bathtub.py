@@ -28,9 +28,10 @@ def main() -> None:
 
     print(f"{'seed':>4}  {'front':>8}  {'mid':>8}  {'back':>8}  bathtub")
     for r in runs:
-        print(f"{r.seed:>4}  {r.front_mean:8.3f}  {r.mid_mean:8.3f}  "
-              f"{r.back_mean:8.3f}  {'yes' if r.is_bathtub else 'NO'}")
-    hits = sum(r.is_bathtub for r in runs)
+        tub = r.bathtub
+        print(f"{r.seed:>4}  {tub.front_mean:8.3f}  {tub.mid_mean:8.3f}  "
+              f"{tub.back_mean:8.3f}  {'yes' if tub.is_bathtub else 'NO'}")
+    hits = sum(r.bathtub.is_bathtub for r in runs)
     print(f"bathtub shape in {hits}/{len(runs)} seeds")
 
 

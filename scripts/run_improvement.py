@@ -33,10 +33,11 @@ def main() -> None:
     print(f"{'seed':>4}  {'baseline':>9}  {'routed':>9}  {'oracle':>9}  "
           f"{'front':>16}  {'back':>16}  win")
     for r in runs:
-        print(f"{r.seed:>4}  {r.baseline_mape:9.3f}  {r.dafr_mape:9.3f}  "
+        base, routed = r.baseline.bathtub, r.dafr.bathtub
+        print(f"{r.seed:>4}  {r.baseline.mape:9.3f}  {r.dafr.mape:9.3f}  "
               f"{r.oracle_mape:9.3f}  "
-              f"{r.baseline_front_mean:7.2f}->{r.dafr_front_mean:<7.2f}  "
-              f"{r.baseline_back_mean:7.2f}->{r.dafr_back_mean:<7.2f}  "
+              f"{base.front_mean:7.2f}->{routed.front_mean:<7.2f}  "
+              f"{base.back_mean:7.2f}->{routed.back_mean:<7.2f}  "
               f"{'yes' if r.improved else 'NO'}")
 
     agg = summarize_compare(runs)

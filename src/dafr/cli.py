@@ -366,7 +366,7 @@ def cmd_compare(cfg: dict) -> int:
             rows.append([seed, "", "", "", "", str(err)])
             continue
         runs.append(run)
-        rows.append([seed, run.baseline_mape, run.dafr_mape, run.oracle_mape,
+        rows.append([seed, run.baseline.mape, run.dafr.mape, run.oracle_mape,
                      "win" if run.improved else "loss", ""])
     if runs:
         agg = summarize_compare(runs)

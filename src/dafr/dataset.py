@@ -22,18 +22,23 @@ MIN_TRAIN_ROWS = 30
 _WRITE_ROWS = 4096
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def frozen(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only, C-ordered array of ``dtype``: the array
+    itself when it already is one and owns its data (its giver hands it
+    over and must not make it writable again), else a copy."""
+    if not (type(values) is np.ndarray and values.dtype == dtype and values.flags.c_contiguous
+            and values.flags.owndata and not values.flags.writeable):
+        values = np.array(values, dtype=dtype, order="C")
+        values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
 class Dataset:
     """An (n, p) feature matrix with an aligned length-n target vector.
 
-    Arrays are copied and marked read-only at construction; instances are
-    safe to share across threads. Non-finite values are rejected.
+    Arrays are frozen (see ``frozen``) at construction; instances are safe
+    to share across threads. Non-finite values are rejected.
     """
 
     features: np.ndarray
@@ -43,10 +48,10 @@ class Dataset:
 
     def __post_init__(self):
         # C order: column means round by memory layout, so model bits would too
-        X = np.array(self.features, dtype=float, order="C")
+        X = frozen(self.features)
         if X.ndim != 2:
             raise ValueError(f"features must be a 2-D matrix, got ndim={X.ndim}")
-        y = np.array(self.target, dtype=float).ravel()
+        y = frozen(self.target).ravel()
         n, p = X.shape
         if n < 1 or p < 1:
             raise ValueError(f"need at least one row and one column, got shape {X.shape}")
@@ -59,8 +64,6 @@ class Dataset:
             raise ValueError("features contain NaN or infinite values")
         if not np.isfinite(y).all():
             raise ValueError("target contains NaN or infinite values")
-        X.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "target", y)
         object.__setattr__(self, "feature_names", names)
@@ -296,8 +299,8 @@ class Scaler:
     stddevs: np.ndarray
 
     def __post_init__(self):
-        means = _frozen(self.means)
-        stds = _frozen(self.stddevs)
+        means = frozen(self.means)
+        stds = frozen(self.stddevs)
         if means.shape != stds.shape or means.ndim != 1:
             raise ValueError("scaler parameter vectors must share one length")
         if np.any(stds <= 0):
@@ -327,7 +330,9 @@ class Scaler:
             raise ValueError("expected a 2-D matrix")
         if X.shape[1] != self.n_features:
             raise ValueError(f"scaler was fit on {self.n_features} columns, got {X.shape[1]}")
-        return (X - self.means) / self.stddevs
+        Z = X - self.means
+        Z /= self.stddevs
+        return Z
 
     def to_json(self) -> dict:
         return {"means": self.means.tolist(), "stddevs": self.stddevs.tolist()}

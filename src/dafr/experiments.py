@@ -15,10 +15,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Dataset, train_test_split
-from .metrics import bathtub_report, mape
+from .metrics import BathtubReport, bathtub_report, mape
 from .pipeline import (
     DafrModel,
     SegmentSpec,
+    SideReport,
     dafr_score,
     dafr_score_oracle,
     dafr_train,
@@ -56,10 +57,7 @@ class BathtubRun:
     """Baseline decile-error shape on one generated dataset."""
 
     seed: int
-    is_bathtub: bool
-    front_mean: float
-    mid_mean: float
-    back_mean: float
+    bathtub: BathtubReport
     sse_margin: float
 
 
@@ -70,15 +68,8 @@ def bathtub_runs(seeds: Iterable[int], config: SynthConfig,
     for seed in seeds:
         ds = generate(replace(config, seed=seed))
         model = dafr_train(ds, ridge=ridge, k=k)
-        tub = bathtub_report(model.train_profile_before)
-        runs.append(BathtubRun(
-            seed=seed,
-            is_bathtub=tub.is_bathtub,
-            front_mean=tub.front_mean,
-            mid_mean=tub.mid_mean,
-            back_mean=tub.back_mean,
-            sse_margin=segment_sse_margin(model, ds),
-        ))
+        runs.append(BathtubRun(seed, bathtub_report(model.train_profile_before),
+                               segment_sse_margin(model, ds)))
     return runs
 
 
@@ -87,18 +78,14 @@ class CompareRun:
     """Held-out baseline-vs-routed comparison for one seed."""
 
     seed: int
-    baseline_mape: float
-    dafr_mape: float
+    baseline: SideReport
+    dafr: SideReport
     oracle_mape: float
-    baseline_front_mean: float
-    dafr_front_mean: float
-    baseline_back_mean: float
-    dafr_back_mean: float
     sse_margin: float
 
     @property
     def improved(self) -> bool:
-        return self.dafr_mape < self.baseline_mape
+        return self.dafr.mape < self.baseline.mape
 
 
 def compare_run(ds: Dataset, seed: int, test_fraction: float = 0.2,
@@ -109,23 +96,9 @@ def compare_run(ds: Dataset, seed: int, test_fraction: float = 0.2,
     train, test = train_test_split(ds, test_fraction, seed=seed)
     model = dafr_train(train, ridge=ridge, k=k, spec=spec, n_bins=n_bins)
     report = diagnose(model, test, n_bins=n_bins)
-    base, routed = report.baseline, report.dafr
     oracle = mape(test.target, dafr_score_oracle(model, test.features, test.target))
-    front_b = back_b = front_d = back_d = math.nan
-    if base.bathtub is not None:
-        front_b, back_b = base.bathtub.front_mean, base.bathtub.back_mean
-        front_d, back_d = routed.bathtub.front_mean, routed.bathtub.back_mean
-    return CompareRun(
-        seed=seed,
-        baseline_mape=base.mape,
-        dafr_mape=routed.mape,
-        oracle_mape=oracle,
-        baseline_front_mean=front_b,
-        dafr_front_mean=front_d,
-        baseline_back_mean=back_b,
-        dafr_back_mean=back_d,
-        sse_margin=segment_sse_margin(model, train),
-    )
+    return CompareRun(seed, report.baseline, report.dafr, oracle,
+                      segment_sse_margin(model, train))
 
 
 @dataclass(frozen=True)
@@ -185,8 +158,8 @@ def summarize_compare(runs: Sequence[CompareRun]) -> dict:
     return {
         "seeds": len(runs),
         "wins": sum(r.improved for r in runs),
-        "baseline_mape_mean": float(np.mean([r.baseline_mape for r in runs])),
-        "dafr_mape_mean": float(np.mean([r.dafr_mape for r in runs])),
+        "baseline_mape_mean": float(np.mean([r.baseline.mape for r in runs])),
+        "dafr_mape_mean": float(np.mean([r.dafr.mape for r in runs])),
         "oracle_mape_mean": float(np.mean([r.oracle_mape for r in runs])),
         "worst_sse_margin": max(r.sse_margin for r in runs),
     }

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import frozen
 from .errors import RankDeficientError
 
 # relative cutoff on |R[i,i]| for calling a pivoted column dependent
@@ -35,9 +36,7 @@ class LinearModel:
     training_rows: int = 0
 
     def __post_init__(self):
-        coef = np.array(self.coefficients, dtype=float).ravel()
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "coefficients", frozen(self.coefficients).ravel())
         object.__setattr__(self, "intercept", float(self.intercept))
 
     @property

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, atomic_write
+from .dataset import Dataset, atomic_write, frozen
 from .errors import (
     InputError,
     ModelFormatError,
@@ -246,10 +246,9 @@ class ScoreResult:
     nearest_distance: np.ndarray
 
     def __post_init__(self):
-        for name in ("predictions", "segments", "nearest_distance"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "predictions", frozen(self.predictions))
+        object.__setattr__(self, "segments", frozen(self.segments, int))
+        object.__setattr__(self, "nearest_distance", frozen(self.nearest_distance))
 
 
 def _check_width(model: DafrModel, features) -> np.ndarray:
@@ -308,10 +307,9 @@ class DiagnoseReport:
     confusion: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.confusion, dtype=int)
+        counts = frozen(self.confusion, int)
         if counts.shape != (3, 3):
             raise ValueError(f"confusion must be 3x3, got {counts.shape}")
-        counts.setflags(write=False)
         object.__setattr__(self, "confusion", counts)
 
     def to_json(self) -> dict:

@@ -25,12 +25,13 @@ rows scanned go through the same filter and certificate in row order.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .dataset import Scaler
+from .dataset import Scaler, frozen
 
 # query x reference cells per block: each temporary stays near 0.5 MB
 _BLOCK_CELLS = 1 << 16
@@ -64,7 +65,7 @@ class SegmentLabel(IntEnum):
     @classmethod
     def from_tag(cls, tag: str) -> "SegmentLabel":
         if not isinstance(tag, str):
-            raise ValueError(f"segment tag must be a string, got {tag!r}")
+            raise ValueError(f"segment tag must be a string, got {reprlib.repr(tag)}")
         try:
             return cls[tag.upper()]
         except KeyError:
@@ -72,7 +73,6 @@ class SegmentLabel(IntEnum):
 
 
 TAGS = tuple(s.tag for s in SegmentLabel)
-_CODES = {s.tag: int(s) for s in SegmentLabel}
 
 
 def _slack(scale, p: int):
@@ -265,12 +265,8 @@ def _majority(neighbors: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class KnnRouter:
     """Maps a feature vector to a SegmentLabel by majority vote of the k
-    nearest standardized reference rows.
-
-    A float64, C-ordered, read-only ``reference_points`` array that owns its
-    data is kept as given, not copied: the caller hands it over and must not
-    make it writable again. Anything else is copied.
-    """
+    nearest standardized reference rows. Arrays are frozen (see
+    ``dataset.frozen``): a read-only matrix handed over is kept uncopied."""
 
     reference_points: np.ndarray
     labels: np.ndarray
@@ -278,18 +274,13 @@ class KnnRouter:
     scaler: Scaler
 
     def __post_init__(self):
-        refs = self.reference_points
-        # kept uncopied when read-only and owning its data: no view can write
-        # it, though its owner could make it writable again (see above)
-        if not (isinstance(refs, np.ndarray) and refs.dtype == np.float64
-                and refs.flags.c_contiguous and refs.flags.owndata and not refs.flags.writeable):
-            refs = np.array(refs, dtype=float)
+        refs = frozen(self.reference_points)
         if refs.ndim != 2:
             raise ValueError("reference_points must be a 2-D matrix")
         # the extremes are finite exactly when every entry is: no n x p mask
         if refs.size and not np.isfinite([refs.min(), refs.max()]).all():
             raise ValueError("reference_points contain NaN or infinite values")
-        labels = np.asarray(self.labels).ravel().astype(int)
+        labels = frozen(self.labels, int).ravel()
         if labels.shape[0] != refs.shape[0]:
             raise ValueError(
                 f"{labels.shape[0]} labels for {refs.shape[0]} reference rows"
@@ -307,8 +298,6 @@ class KnnRouter:
                 f"scaler covers {self.scaler.n_features} columns, "
                 f"references have {refs.shape[1]}"
             )
-        refs.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "reference_points", refs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "k", int(self.k))
@@ -404,7 +393,7 @@ class KnnRouter:
         decoded already, as an array of segment codes."""
         labels = obj["labels"]
         if not isinstance(labels, np.ndarray):
-            labels = [_CODES[t] if t in _CODES else int(SegmentLabel.from_tag(t)) for t in labels]
+            labels = [int(SegmentLabel.from_tag(t)) for t in labels]
         return cls(
             reference_points=obj["reference_points"],
             labels=labels,
@@ -418,4 +407,6 @@ def knn_fit(features, labels, k: int = 5) -> KnnRouter:
     scaler fit on the features themselves."""
     X = np.asarray(features, dtype=float)
     scaler = Scaler.fit(X)
-    return KnnRouter(scaler.transform(X), labels, k, scaler)
+    Z = scaler.transform(X)
+    Z.setflags(write=False)  # fresh, so the router keeps it
+    return KnnRouter(Z, labels, k, scaler)

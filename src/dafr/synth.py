@@ -97,22 +97,25 @@ def generate(config: SynthConfig) -> Dataset:
     return _finish(X, y, p)
 
 
-def _tail_pool(y: np.ndarray) -> np.ndarray:
-    """Row indices of the bottom and top target deciles."""
-    n = y.shape[0]
+def _perturbed(ds: Dataset, fraction: float, seed: int, deciles, shift) -> Dataset:
+    """``ds`` with ``shift(y, rows, rng)`` added to the targets of
+    round(fraction*n) rows, or all if fewer, drawn without replacement by a
+    generator seeded with ``seed`` from the given target deciles (0-based,
+    rows in stable target order, decile d being [d*n//10, (d+1)*n//10));
+    ``ds`` itself when the budget rounds to 0."""
+    y, n = ds.target, ds.n_rows
+    if np.ptp(y) == 0.0:
+        raise ValueError("degenerate target: all values equal, deciles undefined")
+    budget = int(round(fraction * n))
+    if budget == 0:
+        return ds
     order = np.argsort(y, kind="stable")
-    return np.concatenate([order[: n // 10], order[(9 * n) // 10:]])
-
-def _mid_pool(y: np.ndarray) -> np.ndarray:
-    """Row indices of target deciles 4 through 7."""
-    n = y.shape[0]
-    order = np.argsort(y, kind="stable")
-    return order[(3 * n) // 10: (7 * n) // 10]
-
-
-def _choose(pool: np.ndarray, budget: int, rng) -> np.ndarray:
-    count = min(budget, pool.shape[0])
-    return rng.choice(pool, size=count, replace=False)
+    pool = np.concatenate([order[d * n // 10:(d + 1) * n // 10] for d in deciles])
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(pool, size=min(budget, len(pool)), replace=False)
+    new_y = y.copy()
+    new_y[rows] += shift(y, rows, rng)
+    return ds.with_target(new_y)
 
 
 def inject_tail_outliers(ds: Dataset, fraction: float = 0.05,
@@ -123,19 +126,12 @@ def inject_tail_outliers(ds: Dataset, fraction: float = 0.05,
         raise ValueError(f"fraction must lie in (0, 0.2], got {fraction}")
     if magnitude <= 0:
         raise ValueError(f"magnitude must be positive, got {magnitude}")
-    y = ds.target
-    if np.ptp(y) == 0.0:
-        raise ValueError("degenerate target: all values equal, deciles undefined")
-    budget = int(round(fraction * ds.n_rows))
-    if budget == 0:
-        return ds
-    rng = np.random.default_rng(seed)
-    chosen = _choose(_tail_pool(y), budget, rng)
-    delta = magnitude * float(y.std(ddof=1))
-    med = float(np.median(y))
-    new_y = y.copy()
-    new_y[chosen] += np.where(y[chosen] >= med, delta, -delta)
-    return ds.with_target(new_y)
+
+    def away_from_median(y, rows, rng):
+        delta = magnitude * float(y.std(ddof=1))
+        return np.where(y[rows] >= float(np.median(y)), delta, -delta)
+
+    return _perturbed(ds, fraction, seed, (0, 9), away_from_median)
 
 
 def inject_mid_noise(ds: Dataset, fraction: float = 0.05,
@@ -146,14 +142,8 @@ def inject_mid_noise(ds: Dataset, fraction: float = 0.05,
         raise ValueError(f"fraction must lie in (0, 0.5], got {fraction}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    y = ds.target
-    if np.ptp(y) == 0.0:
-        raise ValueError("degenerate target: all values equal, deciles undefined")
-    budget = int(round(fraction * ds.n_rows))
-    if budget == 0:
-        return ds
-    rng = np.random.default_rng(seed)
-    chosen = _choose(_mid_pool(y), budget, rng)
-    new_y = y.copy()
-    new_y[chosen] += sigma * float(y.std(ddof=1)) * rng.normal(size=chosen.shape[0])
-    return ds.with_target(new_y)
+
+    def noise(y, rows, rng):
+        return sigma * float(y.std(ddof=1)) * rng.normal(size=rows.shape[0])
+
+    return _perturbed(ds, fraction, seed, (3, 4, 5, 6), noise)

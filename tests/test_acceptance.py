@@ -53,7 +53,7 @@ def improvement_battery():
 
 def test_01_bathtub_shape_under_single_fit(bathtub_battery, announce):
     runs, elapsed = bathtub_battery
-    hits = sum(r.is_bathtub for r in runs)
+    hits = sum(r.bathtub.is_bathtub for r in runs)
     ok = hits >= 18 and elapsed < 10.0
     announce(f"[1] bathtub decile profile under a single fit: "
              f"{'PASS' if ok else 'FAIL'} ({hits}/20 seeds, {elapsed:.2f}s < 10s)")
@@ -64,10 +64,10 @@ def test_01_bathtub_shape_under_single_fit(bathtub_battery, announce):
 def test_02_held_out_improvement_over_baseline(improvement_battery, announce):
     runs, elapsed = improvement_battery
     wins = sum(r.improved for r in runs)
-    front_base = float(np.mean([r.baseline_front_mean for r in runs]))
-    front_dafr = float(np.mean([r.dafr_front_mean for r in runs]))
-    back_base = float(np.mean([r.baseline_back_mean for r in runs]))
-    back_dafr = float(np.mean([r.dafr_back_mean for r in runs]))
+    front_base = float(np.mean([r.baseline.bathtub.front_mean for r in runs]))
+    front_dafr = float(np.mean([r.dafr.bathtub.front_mean for r in runs]))
+    back_base = float(np.mean([r.baseline.bathtub.back_mean for r in runs]))
+    back_dafr = float(np.mean([r.dafr.bathtub.back_mean for r in runs]))
     ok = (wins >= 18 and front_dafr < front_base and back_dafr < back_base
           and elapsed < 30.0)
     announce(f"[2] held-out MAPE improvement on piecewise data: "

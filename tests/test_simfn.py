@@ -1,5 +1,6 @@
 """Tests for KNN segment routing against a brute-force oracle."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dafr import simfn
-from dafr.dataset import Scaler
+from dafr.dataset import Dataset, Scaler
+from dafr.fitfn import LinearModel
+from dafr.pipeline import DiagnoseReport, ScoreResult, SideReport
 from dafr.simfn import KnnRouter, SegmentLabel, knn_fit
 from dafr.synth import SynthConfig, generate
 
@@ -55,6 +58,10 @@ class TestSegmentLabel:
         assert SegmentLabel.from_tag("back") is B
         with pytest.raises(ValueError, match="unknown segment tag"):
             SegmentLabel.from_tag("left")
+
+    def test_a_tag_that_is_no_string_is_named_briefly(self):
+        with pytest.raises(ValueError, match=r"must be a string, got \['mid', 'mid', .*, \.\.\.\]$"):
+            SegmentLabel.from_tag(["mid"] * 10_000)
 
 
 class TestRouting:
@@ -432,48 +439,98 @@ def _read_only(points):
 
 
 POINTS = np.arange(8.0).reshape(4, 2)
+_SIDE = SideReport.of(np.arange(1.0, 21.0), np.arange(1.5, 21.5), 10)
+
+# record -> (its array's contents, the record built around an array of them,
+# the record's stored copy of that array)
+RECORDS = {
+    "Dataset": (POINTS, lambda a: Dataset(a, np.arange(4.0), ("a", "b"), "y"),
+                lambda r: r.features),
+    "Scaler": (np.arange(4.0), lambda a: Scaler(a, np.ones(4)), lambda r: r.means),
+    "LinearModel": (np.arange(4.0), lambda a: LinearModel(0.5, a), lambda r: r.coefficients),
+    "KnnRouter": (POINTS, lambda a: KnnRouter(a, [F, M, B, M], k=1, scaler=identity_scaler(2)),
+                  lambda r: r.reference_points),
+    "ScoreResult": (np.arange(4.0), lambda a: ScoreResult(a, np.zeros(4, dtype=int), np.zeros(4)),
+                    lambda r: r.predictions),
+    "DiagnoseReport": (np.arange(9).reshape(3, 3), lambda a: DiagnoseReport(9, _SIDE, _SIDE, a),
+                       lambda r: r.confusion),
+}
+# case -> the array given, made from the record's contents
+COPIED = {
+    "list": lambda a: a.tolist(),
+    "writable": lambda a: a.copy(),
+    "fortran-order": lambda a: _read_only(np.asfortranarray(a)),
+    "integer": lambda a: _read_only(a.astype(np.int64)),
+    "float32": lambda a: _read_only(a.astype(np.float32)),
+    "view": lambda a: _read_only(a.copy())[:],
+}
+
+
+def _copy_cases():
+    # a 1-D array is C- and Fortran-ordered at once, and an integer record
+    # keeps an integer array; the router's cases are named by the case alone
+    for record, (contents, _, _) in RECORDS.items():
+        for case in COPIED:
+            if (case == "fortran-order" and contents.ndim == 1
+                    or case == "integer" and contents.dtype.kind == "i"):
+                continue
+            name = case if record == "KnnRouter" else f"{record}-{case}"
+            yield pytest.param(record, case, id=name)
 
 
 class TestOwnership:
-    """The router keeps, uncopied, a read-only matrix that owns its data."""
+    """Every frozen record keeps, uncopied, a read-only array that owns its
+    data and is of the record's dtype, C-ordered; it copies anything else."""
 
-    def router(self, points):
-        return KnnRouter(points, [F, M, B, M], k=1, scaler=identity_scaler(2))
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_a_read_only_owning_array_is_kept(self, record):
+        contents, build, stored = RECORDS[record]
+        given = _read_only(contents.copy())
+        assert np.shares_memory(stored(build(given)), given)
 
-    def test_read_only_owned_matrix_is_kept(self):
-        points = _read_only(POINTS.copy())
-        assert np.shares_memory(self.router(points).reference_points, points)
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_a_kept_array_is_shared_with_its_giver(self, record):
+        # handed over, not private: a giver that makes it writable again
+        # changes the record's array
+        contents, build, stored = RECORDS[record]
+        given = _read_only(contents.copy())
+        kept = stored(build(given))
+        given.setflags(write=True)
+        given.flat[0] = -1
+        assert kept.flat[0] == -1
 
-    def test_a_kept_matrix_is_shared_with_its_owner(self):
-        # handed over, not private: an owner that makes it writable again
-        # changes the router's references
-        points = _read_only(POINTS.copy())
-        router = self.router(points)
-        points.setflags(write=True)
-        points[0, 0] = -1.0
-        assert router.reference_points[0, 0] == -1.0
+    @pytest.mark.parametrize("record, case", _copy_cases())
+    def test_anything_else_is_copied(self, record, case):
+        contents, build, stored = RECORDS[record]
+        given = COPIED[case](contents)
+        made = build(given)
+        assert not np.shares_memory(stored(made), np.asarray(given))
+        assert np.array_equal(stored(made), contents)
+        assert stored(made).dtype == contents.dtype
+        assert not any(v.flags.writeable for v in vars(made).values()
+                       if isinstance(v, np.ndarray))
 
-    @pytest.mark.parametrize("make", [
-        lambda: POINTS.tolist(),
-        lambda: POINTS.copy(),
-        lambda: _read_only(np.asfortranarray(POINTS)),
-        lambda: _read_only(POINTS.astype(np.int64)),
-        lambda: _read_only(POINTS.astype(np.float32)),
-        lambda: _read_only(POINTS.copy())[:],
-    ], ids=["list", "writable", "fortran-order", "integer", "float32", "view"])
-    def test_anything_else_is_copied(self, make):
-        points = make()
-        router = self.router(points)
-        assert not np.shares_memory(router.reference_points, np.asarray(points))
-        assert not router.reference_points.flags.writeable
-        assert np.array_equal(router.reference_points, POINTS)
+    def test_knn_fit_keeps_its_standardized_matrix(self):
+        X = generate(SynthConfig(kind="hetero_tails", n=20000, p=8, seed=1)).features
+        labels = np.arange(len(X)) % 3
+        tracemalloc.start()
+        try:
+            router = knn_fit(X, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the standardized matrix, the labels and the scaler's temporaries
+        assert peak <= 1.3 * X.nbytes
+        assert np.array_equal(router.reference_points, Scaler.fit(X).transform(X))
 
-    def test_later_writes_to_the_callers_array_do_not_reach_the_router(self):
-        points = POINTS.copy()
-        router = self.router(points)
-        points[:] = -1.0
-        assert np.array_equal(router.reference_points, POINTS)
-        assert points.flags.writeable
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_callers_later_writes_do_not_reach_it(self, record):
+        contents, build, stored = RECORDS[record]
+        given = contents.copy()
+        made = build(given)
+        given[:] = -1
+        assert np.array_equal(stored(made), contents)
+        assert given.flags.writeable
 
 
 class TestSerialization:
