@@ -95,15 +95,6 @@ RANGES = {
     "seed": (lambda v: v >= 0, "at least 0"),
 }
 
-COMMAND_HELP = {
-    "train": "fit baseline, segment models, and router",
-    "score": "predict with a trained model",
-    "diagnose": "baseline-vs-routed error report",
-    "synth": "generate a synthetic dataset CSV",
-    "compare": "baseline-vs-routed over many seeds",
-}
-
-
 class UsageError(Exception):
     """Post-parse validation failure; maps to exit code 2."""
 
@@ -113,7 +104,7 @@ def _fmt(value: float) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per COMMAND_HELP entry, one flag per DEFAULTS key.
+    """One subcommand per COMMANDS entry, one flag per DEFAULTS key.
 
     Flag defaults stay None so the config merge can tell explicit flags
     from unset ones.
@@ -124,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "front/mid/back models, KNN routing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, command_help in COMMAND_HELP.items():
+    for command, (_, command_help) in COMMANDS.items():
         cmd = sub.add_parser(command, help=command_help)
         for name in DEFAULTS[command]:
             typ, help_text = OPTIONS[name]
@@ -383,12 +374,13 @@ def cmd_compare(cfg: dict) -> int:
     return 0
 
 
+# command -> (handler, help); key order is the --help command order
 COMMANDS = {
-    "train": cmd_train,
-    "score": cmd_score,
-    "diagnose": cmd_diagnose,
-    "synth": cmd_synth,
-    "compare": cmd_compare,
+    "train": (cmd_train, "fit baseline, segment models, and router"),
+    "score": (cmd_score, "predict with a trained model"),
+    "diagnose": (cmd_diagnose, "baseline-vs-routed error report"),
+    "synth": (cmd_synth, "generate a synthetic dataset CSV"),
+    "compare": (cmd_compare, "baseline-vs-routed over many seeds"),
 }
 
 
@@ -410,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     try:
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except UsageError as err:
         print(f"usage: {err}", file=sys.stderr)
         return 2

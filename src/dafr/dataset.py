@@ -79,7 +79,10 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Dataset restricted to the given row indices, in the given order."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.target[idx], self.feature_names, self.target_name)
+        X, y = self.features[idx], self.target[idx]
+        for rows in (X, y):
+            rows.setflags(write=False)  # fresh and owning, so Dataset keeps them
+        return Dataset(X, y, self.feature_names, self.target_name)
 
     def with_target(self, target) -> "Dataset":
         """Copy of this dataset with a replaced target vector."""

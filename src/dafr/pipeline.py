@@ -10,7 +10,7 @@ segment's model.
 from __future__ import annotations
 
 import json
-import os
+import mmap
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -127,13 +127,12 @@ def segment_assign(target, spec: SegmentSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class DafrModel:
     """Everything scoring needs: per-segment models, router, and the
-    training error profiles before and after segmentation."""
+    training error profiles before and after segmentation. ``segments``
+    holds the front, mid and back fits, indexed by SegmentLabel code."""
 
     spec: SegmentSpec
     baseline: LinearModel
-    front: LinearModel
-    mid: LinearModel
-    back: LinearModel
+    segments: tuple[LinearModel, LinearModel, LinearModel]
     router: KnnRouter
     train_profile_before: DecileProfile
     train_profile_after: DecileProfile
@@ -141,10 +140,9 @@ class DafrModel:
     def __post_init__(self):
         if not self.spec.resolved:
             raise ValueError("model requires a resolved SegmentSpec")
-        widths = {
-            self.baseline.n_features, self.front.n_features,
-            self.mid.n_features, self.back.n_features, self.router.n_features,
-        }
+        if len(self.segments) != len(SegmentLabel):
+            raise ValueError(f"{len(self.segments)} segment models, need {len(SegmentLabel)}")
+        widths = {m.n_features for m in (self.baseline, *self.segments, self.router)}
         if len(widths) != 1:
             raise ValueError(f"models disagree on feature width: {sorted(widths)}")
 
@@ -166,14 +164,14 @@ def _fit_named(X, y, ridge: float, feature_names, where: str) -> LinearModel:
         raise RankDeficientError(f"{where} fit: {err}") from None
 
 
-def _predict_by_segment(models, features: np.ndarray,
+def _predict_by_segment(segments, features: np.ndarray,
                         labels: np.ndarray) -> np.ndarray:
-    """Predict each row with the (front, mid, back) model its label picks."""
+    """Predict each row with the (front, mid, back) fit its label picks."""
     out = np.empty(features.shape[0])
-    for seg, model in zip(SegmentLabel, models):
+    for seg, fit in zip(SegmentLabel, segments):
         mask = labels == int(seg)
         if mask.any():
-            out[mask] = model.predict(features[mask])
+            out[mask] = fit.predict(features[mask])
     return out
 
 
@@ -203,8 +201,7 @@ def dafr_train(train: Dataset, ridge: float = 0.0, k: int = 5,
             "segment and one shared model is fit",
             stacklevel=2,
         )
-        front = _fit_named(X, y, ridge, names, "front segment")
-        mid = back = front
+        segments = (_fit_named(X, y, ridge, names, "front segment"),) * 3
     else:
         sizes = np.bincount(labels, minlength=3)
         small = [SegmentLabel(i).tag for i, c in enumerate(sizes) if c < min_segment_rows]
@@ -214,23 +211,18 @@ def dafr_train(train: Dataset, ridge: float = 0.0, k: int = 5,
                 f"{min_segment_rows} rows (sizes: {_segment_sizes_text(sizes)}); "
                 f"move q_front/q_back so every segment gets enough rows"
             )
-        parts = []
-        for seg in SegmentLabel:
-            mask = labels == int(seg)
-            parts.append(_fit_named(X[mask], y[mask], ridge, names, f"{seg.tag} segment"))
-        front, mid, back = parts
+        segments = tuple(_fit_named(X[labels == seg], y[labels == seg], ridge, names,
+                                    f"{seg.tag} segment") for seg in SegmentLabel)
 
     # recombined profile routes by true training segment; the router is
     # fit afterwards and plays no part here
-    yhat_after = _predict_by_segment((front, mid, back), X, labels)
+    yhat_after = _predict_by_segment(segments, X, labels)
     profile_after = decile_mape_profile(y, yhat_after, n_bins)
 
     return DafrModel(
         spec=resolved,
         baseline=baseline,
-        front=front,
-        mid=mid,
-        back=back,
+        segments=segments,
         router=knn_fit(X, labels, k=k),
         train_profile_before=profile_before,
         train_profile_after=profile_after,
@@ -267,7 +259,7 @@ def dafr_score(model: DafrModel, features) -> ScoreResult:
     """Route each row to a segment, predict with that segment's model."""
     X = _check_width(model, features)
     labels, dist = model.router.route_many(X, return_distance=True)
-    preds = _predict_by_segment((model.front, model.mid, model.back), X, labels)
+    preds = _predict_by_segment(model.segments, X, labels)
     return ScoreResult(preds, labels, dist)
 
 
@@ -275,7 +267,7 @@ def dafr_score_oracle(model: DafrModel, features, y_true) -> np.ndarray:
     """Evaluation-only ceiling: route by the true target instead of the router."""
     X = _check_width(model, features)
     labels = segment_assign(y_true, model.spec)
-    return _predict_by_segment((model.front, model.mid, model.back), X, labels)
+    return _predict_by_segment(model.segments, X, labels)
 
 
 @dataclass(frozen=True)
@@ -346,7 +338,7 @@ def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10,
         raise ValueError(f"{routed.shape} routed labels for {eval_data.n_rows} rows")
     baseline = SideReport.of(y, model.baseline.predict(X), n_bins)
     dafr = SideReport.of(
-        y, _predict_by_segment((model.front, model.mid, model.back), X, routed), n_bins)
+        y, _predict_by_segment(model.segments, X, routed), n_bins)
     true_labels = segment_assign(y, model.spec)
     confusion = np.bincount(3 * true_labels + routed, minlength=9).reshape(3, 3)
     return DiagnoseReport(eval_data.n_rows, baseline, dafr, confusion)
@@ -359,9 +351,7 @@ def model_to_json(model: DafrModel, with_points: bool = True) -> dict:
         "version": MODEL_VERSION,
         "spec": model.spec.to_json(),
         "baseline": model.baseline.to_json(),
-        "front": model.front.to_json(),
-        "mid": model.mid.to_json(),
-        "back": model.back.to_json(),
+        **{tag: fit.to_json() for tag, fit in zip(TAGS, model.segments)},
         "router": model.router.to_json(with_points),
         "profiles": {
             "before": model.train_profile_before.to_json(),
@@ -382,9 +372,7 @@ def model_from_json(obj: dict) -> DafrModel:
         return DafrModel(
             spec=SegmentSpec.from_json(obj["spec"]),
             baseline=LinearModel.from_json(obj["baseline"]),
-            front=LinearModel.from_json(obj["front"]),
-            mid=LinearModel.from_json(obj["mid"]),
-            back=LinearModel.from_json(obj["back"]),
+            segments=tuple(LinearModel.from_json(obj[tag]) for tag in TAGS),
             router=KnnRouter.from_json(obj["router"]),
             train_profile_before=DecileProfile.from_json(obj["profiles"]["before"]),
             train_profile_after=DecileProfile.from_json(obj["profiles"]["after"]),
@@ -416,38 +404,6 @@ def _label_codes(text: bytes) -> np.ndarray | None:
     return codes if text[1:-1] == rendered[:-2] else None
 
 
-def _head(fh) -> bytes:
-    """The file's bytes through its first ``_HEAD``, read forward a piece at
-    a time; raises if it has none."""
-    text = bytearray()
-    while piece := fh.read(_CHUNK_BYTES):
-        start = max(0, len(text) - len(_HEAD) + 1)
-        text += piece
-        at = text.find(_HEAD, start)
-        if at >= 0:
-            return bytes(text[:at + len(_HEAD)])
-    raise ValueError("not save_model's layout")
-
-
-def _tail(fh, size: int) -> bytes:
-    """The file's bytes from its last ``_TAIL`` on, read backward a piece at
-    a time into a reversed buffer; raises if it has none."""
-    marker, text, hi = _TAIL[::-1], bytearray(), size
-    while hi > 0:
-        lo = max(0, hi - _CHUNK_BYTES)
-        fh.seek(lo)
-        piece = fh.read(hi - lo)
-        if len(piece) != hi - lo:
-            raise ValueError("model file shrank while read")
-        start = max(0, len(text) - len(marker) + 1)
-        text += piece[::-1]
-        at = text.find(marker, start)
-        if at >= 0:
-            return bytes(text[:at + len(marker)][::-1])
-        hi = lo
-    raise ValueError("not save_model's layout")
-
-
 def _row_blocks(fh, lo: int, hi: int):
     """Float blocks of the rows ``[..], [..], ...`` in bytes [lo, hi) of the
     file, read a piece at a time and parsed up to the last row separator."""
@@ -469,23 +425,26 @@ def _read_in_pieces(path) -> dict:
     """The document at ``path`` in save_model's layout, holding one piece of
     the reference matrix's text at a time; raises on any other layout.
 
-    It reads the head up to ``"reference_points": [[``, then the tail from
-    the ``]], "labels": [`` that closes the matrix. It decodes the labels
-    with ``_label_codes``, which gives the row count, and parses head +
-    ``null`` + tail with ``null`` for the labels too. Then it parses the
-    rows, piece by piece, into one preallocated read-only matrix that the
-    router keeps. Parsing the whole text gives the same document: the head
+    It maps the file read-only just long enough to find the first
+    ``"reference_points": [[`` and the last ``]], "labels": [``, which
+    closes the matrix, and to copy the head and the tail around them; the
+    rows are read through ``fh``, so their pages never count in the
+    process's resident memory. It decodes the labels with ``_label_codes``,
+    which gives the row count, and parses head + ``null`` + tail with
+    ``null`` for the labels too. Then it parses the rows, piece by piece,
+    into one preallocated read-only matrix that the router keeps. Parsing the whole text gives the same document: the head
     and tail hold no backslash (no escaped key), the head one
     ``"reference_points"`` and the tail none (so the null stands for the
     document's only such key, which must be the router's), the tail one
     ``"labels"``, and every piece is a list of equal-width rows.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head, tail = _head(fh), _tail(fh, size)
-        start, end = len(head), size - len(tail)
-        head, tail = head[:-2], tail[2:]
-        if (end < start or b"\\" in head + tail or head.count(b"reference_points") != 1
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            start, end = view.find(_HEAD) + len(_HEAD), view.rfind(_TAIL)
+            if not len(_HEAD) <= start <= end:
+                raise ValueError("not save_model's layout")
+            head, tail = view[:start - 2], view[end + 2:]
+        if (b"\\" in head + tail or head.count(b"reference_points") != 1
                 or b"reference_points" in tail):
             raise ValueError("not save_model's layout")
         at = len(_TAIL) - 3
@@ -514,11 +473,13 @@ def _read_in_pieces(path) -> dict:
 
 
 def load_model(path) -> DafrModel:
-    """The model saved at ``path``. A file in save_model's layout is read a
-    piece of ``_CHUNK_BYTES`` at a time, so beyond the model this needs about
-    one piece (and the labels' text, before the matrix exists); any other
-    layout is parsed whole, holding the whole file, to the same result or
-    the same error."""
+    """The model saved at ``path``. A file in save_model's layout has its
+    matrix read a piece of ``_CHUNK_BYTES`` at a time, so beyond the model
+    this needs about one piece (and the labels' text, before the matrix
+    exists); any other layout is parsed whole, holding the whole file, to
+    the same result or the same error. Another process that truncates the
+    file in place while ``_read_in_pieces`` has it mapped kills this one
+    with SIGBUS; save_model replaces files by rename, which is safe."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such model file: {path}")

@@ -70,11 +70,6 @@ def generate(config: SynthConfig) -> Dataset:
     """Deterministic dataset for the configured generator kind."""
     rng = np.random.default_rng(config.seed)
     n, p = config.n, config.p
-    if config.kind == "single_line":
-        X = rng.uniform(0.0, 1.0, size=(n, p))
-        y0 = 20.0 + 10.0 * X.sum(axis=1)
-        y = y0 + config.noise_sigma * rng.normal(size=n)
-        return _finish(X, y, p)
     if config.kind == "piecewise_three":
         X = np.empty((n, p))
         X[:, 0] = rng.uniform(0.0, 1.5 * BREAKPOINTS[1], size=n)
@@ -87,13 +82,14 @@ def generate(config: SynthConfig) -> Dataset:
             y0 = y0 + 0.5 * X[:, 1:].sum(axis=1)
         y = y0 + config.noise_sigma * rng.normal(size=n)
         return _finish(X, y, p)
-    # hetero_tails: single line, tail rows get amplified noise
+    # single line; hetero_tails amplifies the noise of tail rows
     X = rng.uniform(0.0, 1.0, size=(n, p))
     y0 = 20.0 + 10.0 * X.sum(axis=1)
-    lo_cut = quantile(y0, TAIL_QUANTILE)
-    hi_cut = quantile(y0, 1.0 - TAIL_QUANTILE)
-    scale = np.where((y0 < lo_cut) | (y0 > hi_cut), TAIL_NOISE_FACTOR, 1.0)
-    y = y0 + config.noise_sigma * scale * rng.normal(size=n)
+    noise = config.noise_sigma
+    if config.kind == "hetero_tails":
+        tails = (y0 < quantile(y0, TAIL_QUANTILE)) | (y0 > quantile(y0, 1.0 - TAIL_QUANTILE))
+        noise = noise * np.where(tails, TAIL_NOISE_FACTOR, 1.0)
+    y = y0 + noise * rng.normal(size=n)
     return _finish(X, y, p)
 
 

@@ -565,6 +565,22 @@ class TestSplit:
             with pytest.raises(ValueError, match="test_fraction"):
                 train_test_split(ds, bad, seed=0)
 
+    def test_split_peak_stays_near_the_result(self):
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.normal(size=(100_000, 8)), rng.normal(size=100_000),
+                     tuple(f"x{j}" for j in range(8)), "y")
+        tracemalloc.start()
+        try:
+            sides = train_test_split(ds, 0.2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(s.features.nbytes + s.target.nbytes for s in sides)
+        # the permutation and index arrays beside the rows, each row copied once
+        assert peak <= 1.35 * result
+        for side in sides:
+            assert not side.features.flags.writeable and not side.target.flags.writeable
+
 
 class TestScaler:
     def test_known_column(self):

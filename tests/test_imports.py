@@ -1,0 +1,39 @@
+"""Every module of the package and every script uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted([*(ROOT / "src" / "dafr").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """``line N: name`` for each imported name that the module never reads;
+    a name listed in ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "import os\nimport json\nfrom .a import b, c as d\n__all__ = ['b']\njson.dumps(d)\n"
+    assert unused_imports(source) == ["line 1: os"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -123,7 +123,7 @@ class TestTrain:
     def test_noiseless_single_line_gives_equal_models(self):
         ds = single_line(sigma=0.0)
         model = dafr_train(ds)
-        for part in (model.front, model.mid, model.back):
+        for part in model.segments:
             assert part.intercept == pytest.approx(model.baseline.intercept, abs=1e-8)
             assert np.allclose(part.coefficients, model.baseline.coefficients, atol=1e-8)
         before = model.train_profile_before.bin_mapes
@@ -159,10 +159,18 @@ class TestTrain:
         ds = Dataset(X, np.full(40, 7.0), ("x0", "x1"), "y")
         with pytest.warns(UserWarning, match="all target values are equal"):
             model = dafr_train(ds)
-        assert model.mid is model.front and model.back is model.front
+        assert model.segments == (model.segments[0],) * 3
         assert np.all(model.router.labels == F)
         result = dafr_score(model, X[:5])
         assert np.allclose(result.predictions, 7.0, atol=1e-8)
+
+    def test_model_needs_three_segment_fits_of_one_width(self):
+        model = dafr_train(piecewise(seed=2))
+        with pytest.raises(ValueError, match="2 segment models, need 3"):
+            replace(model, segments=model.segments[:2])
+        narrow = dafr_train(single_line(p=1)).baseline
+        with pytest.raises(ValueError, match="disagree on feature width"):
+            replace(model, segments=(narrow, *model.segments[1:]))
 
     def test_rank_deficiency_names_the_fit(self):
         rng = np.random.default_rng(4)
@@ -543,12 +551,31 @@ class TestModelIO:
         # the router keeps the matrix the reader filled
         assert np.shares_memory(pipeline.model_from_json(doc).router.reference_points, points)
 
+    def test_wide_head_takes_the_streamed_reader(self, tmp_path):
+        model = dafr_train(generate(SynthConfig(kind="single_line", n=800, p=220, seed=3)))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes().index(pipeline._HEAD) > pipeline._CHUNK_BYTES
+        doc = pipeline._read_in_pieces(path)
+        points = doc["router"]["reference_points"]
+        assert np.array_equal(points.view(np.uint64), model.router.reference_points.view(np.uint64))
+        back = pipeline.model_from_json(doc)
+        assert np.shares_memory(back.router.reference_points, points)
+        assert model_to_json(back) == model_to_json(model)
+
+    def test_empty_file_is_not_valid_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"")
+        with pytest.raises(ModelFormatError, match="not valid JSON"):
+            load_model(path)
+
     @pytest.mark.parametrize("case", sorted(HOSTILE_MODELS))
     def test_streamed_reader_matches_whole_text_parse(self, tmp_path, monkeypatch, case):
         path = tmp_path / "model.json"
         path.write_bytes(HOSTILE_MODELS[case](model_to_json(dafr_train(piecewise(seed=8)))))
         outcomes = []
-        # pieces of a few bytes split every marker and row separator somewhere
+        # pieces of a few bytes split every row separator somewhere (the
+        # markers are found in one mapping of the whole file)
         for piece in (3, 7, 64, 1 << 14):
             monkeypatch.setattr(pipeline, "_CHUNK_BYTES", piece)
             outcomes.append(_outcome(path))
