@@ -84,10 +84,6 @@ class Dataset:
             rows.setflags(write=False)  # fresh and owning, so Dataset keeps them
         return Dataset(X, y, self.feature_names, self.target_name)
 
-    def with_target(self, target) -> "Dataset":
-        """Copy of this dataset with a replaced target vector."""
-        return Dataset(self.features, target, self.feature_names, self.target_name)
-
 
 def _parse_cell(text: str, row: int, column: str) -> float:
     s = text.strip()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the model reader's integer check.
 
 Every pipeline failure carries a stable ``code`` string; the CLI prints it
 in front of the human message so harnesses can match on it.
@@ -51,3 +51,13 @@ class ModelFormatError(DafrError):
     """A persisted model file could not be parsed or has an unknown version."""
 
     code = "model-parse"
+
+
+def json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` when it is a JSON integer; any other value of a model
+    field that counts something (``true``, ``5.7``, ``"5"``) is refused."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ModelFormatError(
+            f"malformed model document: {key!r} must be an integer, got {value!r}")
+    return value

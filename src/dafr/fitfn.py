@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import frozen
-from .errors import RankDeficientError
+from .errors import RankDeficientError, json_int
 
 # relative cutoff on |R[i,i]| for calling a pivoted column dependent
 RANK_RTOL = 1e-10
@@ -67,7 +67,7 @@ class LinearModel:
             intercept=float(obj["intercept"]),
             coefficients=obj["coefficients"],
             ridge_lambda=float(obj["ridge_lambda"]),
-            training_rows=int(obj["training_rows"]),
+            training_rows=json_int(obj, "training_rows"),
         )
 
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .dataset import write_rows
-from .errors import ZeroTargetError
+from .errors import ZeroTargetError, json_int
 
 
 def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +86,7 @@ class ProfileBin:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProfileBin":
-        return cls(int(obj["bin"]), int(obj["count"]),
+        return cls(json_int(obj, "bin"), json_int(obj, "count"),
                    float(obj["y_low"]), float(obj["y_high"]), float(obj["mape"]))
 
 

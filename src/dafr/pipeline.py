@@ -258,7 +258,7 @@ def _check_width(model: DafrModel, features) -> np.ndarray:
 def dafr_score(model: DafrModel, features) -> ScoreResult:
     """Route each row to a segment, predict with that segment's model."""
     X = _check_width(model, features)
-    labels, dist = model.router.route_many(X, return_distance=True)
+    labels, dist = model.router.route_many(X)
     preds = _predict_by_segment(model.segments, X, labels)
     return ScoreResult(preds, labels, dist)
 
@@ -336,6 +336,9 @@ def diagnose(model: DafrModel, eval_data: Dataset, n_bins: int = 10,
     routed = np.asarray(routed, dtype=int)
     if routed.shape != (eval_data.n_rows,):
         raise ValueError(f"{routed.shape} routed labels for {eval_data.n_rows} rows")
+    bad = routed[(routed < 0) | (routed >= len(SegmentLabel))]
+    if bad.size:
+        raise ValueError(f"routed labels must be codes 0/1/2, got {sorted(set(bad.tolist()))}")
     baseline = SideReport.of(y, model.baseline.predict(X), n_bins)
     dafr = SideReport.of(
         y, _predict_by_segment(model.segments, X, routed), n_bins)

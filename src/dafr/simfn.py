@@ -32,6 +32,7 @@ from enum import IntEnum
 import numpy as np
 
 from .dataset import Scaler, frozen
+from .errors import json_int
 
 # query x reference cells per block: each temporary stays near 0.5 MB
 _BLOCK_CELLS = 1 << 16
@@ -341,13 +342,10 @@ class KnnRouter:
         z = self._standardize(np.asarray(x, dtype=float).reshape(1, -1))
         return SegmentLabel(int(self._route(z)[0][0]))
 
-    def route_many(self, features, return_distance: bool = False):
-        """Labels for each row; optionally also distance to the nearest
-        reference in standardized space."""
-        labels, dists = self._route(self._standardize(features))
-        if return_distance:
-            return labels, dists
-        return labels
+    def route_many(self, features) -> tuple[np.ndarray, np.ndarray]:
+        """Label of each row, and its distance to the nearest reference in
+        standardized space."""
+        return self._route(self._standardize(features))
 
     def route_left_out(self, rows) -> np.ndarray:
         """Label for each given reference row, voted by its nearest other
@@ -397,7 +395,7 @@ class KnnRouter:
         return cls(
             reference_points=obj["reference_points"],
             labels=labels,
-            k=int(obj["k"]),
+            k=json_int(obj, "k"),
             scaler=Scaler.from_json(obj["scaler"]),
         )
 

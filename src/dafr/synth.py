@@ -9,7 +9,7 @@ middle of the target distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def _perturbed(ds: Dataset, fraction: float, seed: int, deciles, shift) -> Datas
     rows = rng.choice(pool, size=min(budget, len(pool)), replace=False)
     new_y = y.copy()
     new_y[rows] += shift(y, rows, rng)
-    return ds.with_target(new_y)
+    return replace(ds, target=new_y)
 
 
 def inject_tail_outliers(ds: Dataset, fraction: float = 0.05,

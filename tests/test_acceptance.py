@@ -149,7 +149,7 @@ def test_05_router_agrees_with_exhaustive_oracle(announce):
         labels = rng.integers(0, 3, size=200)
         router = knn_fit(refs, labels, k=k)
         queries = rng.normal(size=(200, 4)) * rng.uniform(0.5, 2.0)
-        routed = router.route_many(queries)
+        routed = router.route_many(queries)[0]
         standardized = router.scaler.transform(queries)
         expected = [_exhaustive_route(router.reference_points, labels, k, z)
                     for z in standardized]

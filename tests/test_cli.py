@@ -396,6 +396,9 @@ HOSTILE = {
     "empty-profile": (
         lambda: _model_file(lambda doc: doc["profiles"].update(before=[])),
         3, "model-parse: malformed model document: no profile rows"),
+    "float-router-k": (
+        lambda: _model_file(lambda doc: doc["router"].update(k=5.7)),
+        3, "model-parse: malformed model document: 'k' must be an integer, got 5.7"),
     "empty-holdout": (_tiny_holdout, 3, "pipeline: test_fraction 0.001 of 200 rows"),
     "train-out-dot": (lambda: _out_directory("train", "."),
                       3, "io: [Errno 21] Is a directory: '.'"),
@@ -441,3 +444,40 @@ def test_hostile_input_gives_one_error_line(workdir, capsys, case):
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix)
     assert not list(workdir.rglob("*.tmp"))
+
+
+# one session in a fresh process: each command in turn, then the process's
+# thread count, which shows whether OpenBLAS took OPENBLAS_NUM_THREADS
+SESSION = """
+import sys
+from dafr.cli import main
+for argv in ("synth --kind hetero_tails --n 20000 --p 8 --seed 5 --out data.csv",
+             "train --data data.csv --target y --test-fraction 0.2 --out model.json",
+             "score --model model.json --data model.holdout.csv --target y --trace --out scored.csv",
+             "diagnose --model model.json --data model.holdout.csv --target y --out report.json"):
+    if main(argv.split()) != 0:
+        sys.exit(argv)
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(line for line in fh if line.startswith("Threads:")).split()[1])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Threads: from /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 20k x 8 rows OpenBLAS hands work to its pool: on a 2-CPU host its
+    # second thread used about 1.3 s of CPU time over this session
+    src = str(Path(dafr.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", SESSION], cwd=run_dir, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == threads
+        outputs.append({path.name: path.read_bytes() for path in run_dir.iterdir()})
+    # the data, model, holdout, summary, scores and report, four sidecars, three profiles
+    assert len(outputs[0]) == 13
+    assert outputs[0] == outputs[1]

@@ -70,12 +70,6 @@ class TestDataset:
         assert np.array_equal(sub.features[1], ds.features[1])
         assert sub.target[2] == ds.target[1]
 
-    def test_with_target(self):
-        ds = make_ds(5)
-        replaced = ds.with_target(np.arange(5.0) + 1)
-        assert np.array_equal(replaced.target, [1, 2, 3, 4, 5])
-        assert np.array_equal(replaced.features, ds.features)
-
 
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):

@@ -19,8 +19,6 @@ from dafr.errors import (
 )
 from dafr.metrics import decile_mape_profile, mape
 from dafr.pipeline import (
-    DafrModel,
-    ScoreResult,
     SegmentSpec,
     dafr_score,
     dafr_score_oracle,
@@ -305,7 +303,7 @@ class TestDiagnose:
     def test_given_routed_labels_replace_the_router(self):
         ds = piecewise(seed=3)
         model = dafr_train(ds)
-        routed = model.router.route_many(ds.features)
+        routed = model.router.route_many(ds.features)[0]
         assert diagnose(model, ds, routed=routed).to_json() == diagnose(model, ds).to_json()
         oracle = segment_assign(ds.target, model.spec)
         report = diagnose(model, ds, routed=oracle)
@@ -314,6 +312,17 @@ class TestDiagnose:
                                                                      ds.target))
         with pytest.raises(ValueError, match="routed labels"):
             diagnose(model, ds, routed=oracle[1:])
+
+    # unchecked, a 3 on true-front rows counts as (mid, front) and leaves
+    # their predictions unset, and -1 or 4 fails inside numpy
+    @pytest.mark.parametrize("code", [3, -1, 4])
+    def test_given_routed_codes_outside_the_segments_are_refused(self, code):
+        ds = piecewise(seed=3)
+        model = dafr_train(ds)
+        routed = segment_assign(ds.target, model.spec)
+        routed[np.flatnonzero(routed == F)[:5]] = code
+        with pytest.raises(ValueError, match=rf"codes 0/1/2, got \[{code}\]"):
+            diagnose(model, ds, routed=routed)
 
     def test_json_report_shape(self):
         ds = piecewise(seed=2)
@@ -435,12 +444,32 @@ def _text_cells(points):
     points[5][1] = repr(points[5][1])
 
 
+def _set_field(value, *keys):
+    def apply(doc):
+        obj = doc
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+        return json.dumps(doc).encode()
+    return apply
+
+
 def _shorten_from(row):
     def edit(points):
         for r in points[row:]:
             r.pop()
     return edit
 
+
+# integer fields spelled as other JSON types, which int() would truncate
+INTEGER_FIELD_CASES = {
+    "k-true": _set_field(True, "router", "k"),
+    "k-float": _set_field(5.7, "router", "k"),
+    "k-string": _set_field("5", "router", "k"),
+    "count-float": _set_field(20.5, "profiles", "before", 0, "count"),
+    "bin-float": _set_field(1.0, "profiles", "after", 0, "bin"),
+    "training-rows-true": _set_field(True, "baseline", "training_rows"),
+}
 
 # hostile model documents: name -> model document -> file bytes
 HOSTILE_MODELS = {
@@ -499,6 +528,7 @@ HOSTILE_MODELS = {
         '"k": ', '"labels": ' + json.dumps(["back"] * 500) + ', "k": ')(doc),
     "labels-as-text": lambda doc: json.dumps(
         {**doc, "router": {**doc["router"], "labels": "fmb" * 166 + "fm"}}).encode(),
+    **INTEGER_FIELD_CASES,
 }
 
 
@@ -581,6 +611,14 @@ class TestModelIO:
             outcomes.append(_outcome(path))
         monkeypatch.setattr(pipeline, "_read_in_pieces", _refuse)
         assert outcomes == [_outcome(path)] * 4
+
+    @pytest.mark.parametrize("case", sorted(INTEGER_FIELD_CASES))
+    def test_integer_fields_refuse_other_json_types(self, tmp_path, case):
+        path = tmp_path / "model.json"
+        path.write_bytes(HOSTILE_MODELS[case](model_to_json(dafr_train(piecewise(seed=8)))))
+        with pytest.raises(ModelFormatError, match="must be an integer") as err:
+            load_model(path)
+        assert err.value.code == "model-parse"
 
     @pytest.mark.parametrize("labels, codes", [
         ('["front", "mid", "back", "mid"]', [F, M, B, M]),

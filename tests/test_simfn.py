@@ -87,7 +87,7 @@ class TestRouting:
     def test_self_routing_with_k1(self):
         rng = np.random.default_rng(8)
         router, refs, labels = random_router(rng, m=50, k=1)
-        routed = router.route_many(refs)
+        routed = router.route_many(refs)[0]
         assert np.array_equal(routed, labels)
 
     def test_all_front_references_always_front(self):
@@ -96,13 +96,13 @@ class TestRouting:
         queries = rng.normal(size=(25, 2)) * 3.0
         for k in (1, 2, 5, 30):
             router = knn_fit(refs, [F] * 30, k=k)
-            assert np.all(router.route_many(queries) == int(F))
+            assert np.all(router.route_many(queries)[0] == int(F))
 
     def test_matches_oracle_on_random_queries(self):
         rng = np.random.default_rng(99)
         router, refs, labels = random_router(rng, m=200, p=3, k=5)
         queries = rng.normal(size=(200, 3)) * 1.5
-        routed = router.route_many(queries)
+        routed = router.route_many(queries)[0]
         Z = router.scaler.transform(queries)
         expected = [oracle_route(router.reference_points, labels, 5, z) for z in Z]
         assert np.array_equal(routed, expected)
@@ -116,19 +116,19 @@ class TestRouting:
             router = knn_fit(refs, labels, k=k)
             Z = router.scaler.transform(queries)
             expected = [oracle_route(router.reference_points, labels, k, z) for z in Z]
-            assert np.array_equal(router.route_many(queries), expected)
+            assert np.array_equal(router.route_many(queries)[0], expected)
 
     def test_rescaling_a_column_does_not_change_routes(self):
         rng = np.random.default_rng(5)
         refs = rng.normal(size=(60, 3))
         labels = rng.integers(0, 3, size=60)
         queries = rng.normal(size=(40, 3))
-        base = knn_fit(refs, labels, k=5).route_many(queries)
+        base = knn_fit(refs, labels, k=5).route_many(queries)[0]
         scaled_refs = refs.copy()
         scaled_refs[:, 1] *= 1000.0
         scaled_queries = queries.copy()
         scaled_queries[:, 1] *= 1000.0
-        rescaled = knn_fit(scaled_refs, labels, k=5).route_many(scaled_queries)
+        rescaled = knn_fit(scaled_refs, labels, k=5).route_many(scaled_queries)[0]
         assert np.array_equal(base, rescaled)
 
     def test_reference_permutation_invariance_on_continuous_data(self):
@@ -136,16 +136,16 @@ class TestRouting:
         refs = rng.normal(size=(80, 2))
         labels = rng.integers(0, 3, size=80)
         queries = rng.normal(size=(50, 2))
-        base = knn_fit(refs, labels, k=5).route_many(queries)
+        base = knn_fit(refs, labels, k=5).route_many(queries)[0]
         perm = rng.permutation(80)
-        shuffled = knn_fit(refs[perm], labels[perm], k=5).route_many(queries)
+        shuffled = knn_fit(refs[perm], labels[perm], k=5).route_many(queries)[0]
         assert np.array_equal(base, shuffled)
 
     def test_route_agrees_with_route_many(self):
         rng = np.random.default_rng(2)
         router, _, _ = random_router(rng, m=30, p=2, k=3)
         queries = rng.normal(size=(10, 2))
-        many = router.route_many(queries)
+        many = router.route_many(queries)[0]
         singles = [int(router.route(q)) for q in queries]
         assert np.array_equal(many, singles)
 
@@ -153,7 +153,7 @@ class TestRouting:
         rng = np.random.default_rng(44)
         router, _, _ = random_router(rng, m=25, p=2, k=3)
         queries = rng.normal(size=(8, 2))
-        _, dists = router.route_many(queries, return_distance=True)
+        _, dists = router.route_many(queries)
         Z = router.scaler.transform(queries)
         for z, d in zip(Z, dists):
             expected = np.sqrt(np.sum((router.reference_points - z) ** 2, axis=1)).min()
@@ -209,7 +209,7 @@ class TestDifferential:
         refs, labels, k, queries = problem
         router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(refs.shape[1]))
         with np.errstate(over="ignore"):
-            routed, dists = router.route_many(queries, return_distance=True)
+            routed, dists = router.route_many(queries)
             expected = [oracle_route(refs, labels, k, z) for z in queries]
             nearest = [oracle_nearest_distance(refs, z) for z in queries]
         assert routed.tolist() == expected
@@ -380,7 +380,7 @@ class TestBlockFloor:
             routed = [oracle_route(refs, labels, 3, z) for z in queries]
             left_out = [left_out_oracle(refs, labels, 3, i) for i in rows]
             sizes.clear()
-            assert router.route_many(queries).tolist() == routed
+            assert router.route_many(queries)[0].tolist() == routed
             assert sizes == [16, 16, 8]
             sizes.clear()
             groups.clear()
@@ -544,7 +544,7 @@ class TestSerialization:
         assert np.array_equal(back.scaler.means, router.scaler.means)
         rng2 = np.random.default_rng(77)
         queries = rng2.normal(size=(15, 2))
-        assert np.array_equal(back.route_many(queries), router.route_many(queries))
+        assert np.array_equal(back.route_many(queries)[0], router.route_many(queries)[0])
 
     def test_labels_serialize_as_tags(self):
         router = knn_fit([[0.0], [1.0], [2.0]], [F, M, B], k=1)

@@ -1,5 +1,7 @@
 """Tests for synthetic generators and target perturbation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,7 @@ class TestTailInjection:
             inject_tail_outliers(ds, fraction=0.3)
         with pytest.raises(ValueError, match="magnitude"):
             inject_tail_outliers(ds, magnitude=0.0)
-        flat = ds.with_target(np.full(40, 2.0))
+        flat = replace(ds, target=np.full(40, 2.0))
         with pytest.raises(ValueError, match="degenerate"):
             inject_tail_outliers(flat)
 
