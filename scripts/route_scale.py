@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Time leave-one-out routing, the work behind ``dafr train``'s summary, at scale.
+"""Time routing at scale: leave-one-out, the work behind ``dafr train``'s
+summary, and held-out queries, the work behind ``dafr score``.
 
 Generates ``dafr.synth`` data, trains a model on every row, draws ``--rows``
 training rows the way the summary draws them, and routes them through
 ``KnnRouter.route_left_out``. Prints the in-process routing time (median of
 ``--repeats``), the share of query x reference cells handed to the distance
 kernel (counted in one more, untimed run by wrapping ``simfn._k_nearest``),
-and a digest of the labels, so runs of two versions can be compared.
+and a digest of the labels. Then routes ``--rows`` queries generated from
+the next seed through ``KnnRouter.route_many`` and prints its time (median
+of ``--repeats``), its tracemalloc peak (one more run) and a digest of the
+labels and distances, so runs of two versions can be compared.
 
     PYTHONPATH=src python3 scripts/route_scale.py --kind hetero_tails --n 100000 --p 3
 """
 
 import argparse
 import hashlib
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -67,6 +72,25 @@ def main() -> None:
           f"(runs: {', '.join(f'{t:.4f}' for t in times)})")
     print(f"cells_scanned: {cells / (rows.size * n):.4f} of {rows.size} x {n}")
     print(f"labels_sha256: {digest}")
+
+    queries = generate(SynthConfig(kind=args.kind, n=rows.size, p=args.p,
+                                   seed=args.seed + 1)).features
+    times = []
+    for _ in range(args.repeats):
+        start = perf_counter()
+        routed, dists = router.route_many(queries)
+        times.append(perf_counter() - start)
+    tracemalloc.start()
+    try:
+        router.route_many(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    digest = hashlib.sha256(routed.astype(np.int64).tobytes() + dists.tobytes()).hexdigest()[:16]
+    print(f"route_many_s: {np.median(times):.4f} (runs: {', '.join(f'{t:.4f}' for t in times)}; "
+          f"{rows.size} queries, seed {args.seed + 1})")
+    print(f"route_many_peak_mb: {peak / 1e6:.2f} (tracemalloc)")
+    print(f"route_many_sha256: {digest} (labels and distances)")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CellError, InputError
+from .errors import CellError, InputError, json_float
 
 # 10 deciles need at least a few rows each; anything smaller makes the
 # decile diagnostics meaningless.
@@ -338,7 +338,7 @@ class Scaler:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scaler":
-        return cls(obj["means"], obj["stddevs"])
+        return cls(json_float(obj, "means"), json_float(obj, "stddevs"))
 
 
 def fit_scaler(ds: Dataset) -> Scaler:

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the model reader's integer check.
+"""Exception types shared across the package, and the model reader's type checks.
 
 Every pipeline failure carries a stable ``code`` string; the CLI prints it
 in front of the human message so harnesses can match on it.
 """
+
+import reprlib
 
 
 class DafrError(Exception):
@@ -60,4 +62,18 @@ def json_int(obj: dict, key: str) -> int:
     if type(value) is not int:
         raise ModelFormatError(
             f"malformed model document: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def json_float(obj: dict, key: str):
+    """``obj[key]`` when it is a JSON number, or a list of them for a field
+    that holds a vector; the caller converts it. A float field holding
+    anything else (``true``, ``"19.9"``, ``null``, or a list holding such a
+    value) is refused."""
+    value = obj[key]
+    vector = type(value) is list
+    if any(type(v) not in (int, float) for v in (value if vector else [value])):
+        raise ModelFormatError(
+            f"malformed model document: {key!r} must be "
+            f"{'a list of numbers' if vector else 'a number'}, got {reprlib.repr(value)}")
     return value

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import frozen
-from .errors import RankDeficientError, json_int
+from .errors import RankDeficientError, json_float, json_int
 
 # relative cutoff on |R[i,i]| for calling a pivoted column dependent
 RANK_RTOL = 1e-10
@@ -64,9 +64,9 @@ class LinearModel:
     @classmethod
     def from_json(cls, obj: dict) -> "LinearModel":
         return cls(
-            intercept=float(obj["intercept"]),
-            coefficients=obj["coefficients"],
-            ridge_lambda=float(obj["ridge_lambda"]),
+            intercept=float(json_float(obj, "intercept")),
+            coefficients=json_float(obj, "coefficients"),
+            ridge_lambda=float(json_float(obj, "ridge_lambda")),
             training_rows=json_int(obj, "training_rows"),
         )
 

@@ -8,12 +8,13 @@ average but degrades at both extremes shows up as a bathtub-shaped curve.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .dataset import write_rows
-from .errors import ZeroTargetError, json_int
+from .errors import ZeroTargetError, json_float, json_int
 
 
 def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +88,7 @@ class ProfileBin:
     @classmethod
     def from_json(cls, obj: dict) -> "ProfileBin":
         return cls(json_int(obj, "bin"), json_int(obj, "count"),
-                   float(obj["y_low"]), float(obj["y_high"]), float(obj["mape"]))
+                   *(float(json_float(obj, key)) for key in ("y_low", "y_high", "mape")))
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,19 @@ class DecileProfile:
 
     @classmethod
     def from_json(cls, rows: list[dict]) -> "DecileProfile":
-        """Profile whose overall MAPE is the count-weighted mean of its bins."""
+        """Profile whose overall MAPE is the count-weighted mean of its bins,
+        which are numbered 1..n in order and each hold at least one row, as
+        ``decile_mape_profile`` makes them."""
         bins = tuple(ProfileBin.from_json(r) for r in rows)
         total = sum(b.count for b in bins)
         if total < 1:
             raise ValueError("no profile rows")
+        if [b.bin for b in bins] != list(range(1, len(bins) + 1)):
+            raise ValueError(f"profile bins must be numbered 1..{len(bins)} in order, "
+                             f"got {reprlib.repr([b.bin for b in bins])}")
+        if min(b.count for b in bins) < 1:
+            raise ValueError(f"profile bin counts must be at least 1, "
+                             f"got {reprlib.repr([b.count for b in bins])}")
         return cls(bins, sum(b.count * b.mape for b in bins) / total)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     RankDeficientError,
     SegmentSizeError,
     WidthMismatchError,
+    json_float,
 )
 from .fitfn import LinearModel, ols_fit
 from .metrics import (
@@ -104,10 +105,10 @@ class SegmentSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "SegmentSpec":
         return cls(
-            q_front=float(obj["q_front"]),
-            q_back=float(obj["q_back"]),
-            t_front=None if obj["t_front"] is None else float(obj["t_front"]),
-            t_back=None if obj["t_back"] is None else float(obj["t_back"]),
+            q_front=float(json_float(obj, "q_front")),
+            q_back=float(json_float(obj, "q_back")),
+            t_front=None if obj["t_front"] is None else float(json_float(obj, "t_front")),
+            t_back=None if obj["t_back"] is None else float(json_float(obj, "t_back")),
         )
 
 

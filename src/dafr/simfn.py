@@ -6,13 +6,13 @@ tie-break cascade: distance ties go to the lower reference row, vote ties
 to the label of the nearest neighbor among the tied labels, and any
 remaining tie to the smaller label.
 
-Routing a block of queries first filters the references with one matrix
-product, ``|z|^2 + |r|^2 - 2 z.r``, keeping a few more candidates than k.
-The candidates are then re-ranked by the exact distance formula of a full
-scan. A per-query error bound certifies that no reference outside the
-candidates can enter the top k; a query that fails the certificate is
-routed by the full scan, so the result is bit-identical to scanning every
-reference for every query.
+Routing a block of queries first filters the references with a matrix
+product per chunk of them, ``|z|^2 + |r|^2 - 2 z.r``, keeping a few more
+candidates than k. The candidates are then re-ranked by the exact distance
+formula of a full scan. A per-query error bound certifies that no reference
+outside the candidates can enter the top k; a query that fails the
+certificate is routed by the full scan, so the result is bit-identical to
+scanning every reference for every query.
 
 A reference row can also be routed leave-one-out, as if it were not among
 the references: this is how a training summary reports routing without
@@ -34,10 +34,10 @@ import numpy as np
 from .dataset import Scaler, frozen
 from .errors import json_int
 
-# query x reference cells per block: each temporary stays near 0.5 MB
+# query x reference cells per block and chunk: each temporary stays near 0.5 MB
 _BLOCK_CELLS = 1 << 16
-# but at least this many (a thinner product streams every reference for
-# too little arithmetic) while the scratch matrix stays within 1 << 21 cells
+# but at least this many queries (a thinner product streams every reference
+# for too little arithmetic)
 _MIN_BLOCK = 16
 # candidates kept beyond k by the matrix-product filter
 _SPARE = 8
@@ -90,23 +90,43 @@ def _k_nearest(refs, ref_sq, Z, k, work) -> tuple[np.ndarray, np.ndarray]:
     Equal to a stable argsort of ``np.sum((refs - z) ** 2, axis=1)`` for
     every query: the exact distances are recomputed with that formula, and
     a query whose top k the filter cannot certify gets that full scan.
-    ``work`` is a scratch matrix with at least Z's rows and one column per
-    reference; reusing it across blocks saves allocating (and page-faulting)
-    a fresh one per block, which cost as much as the arithmetic.
+    ``work`` is a scratch matrix of at least Z's rows, reused across blocks:
+    the references are scanned a chunk of its width at a time, keeping the
+    best k + _SPARE so far, so memory does not grow with the reference count.
     """
     n_ref, p = refs.shape
-    m = min(n_ref, k + _SPARE)
+    m, width = min(n_ref, k + _SPARE), min(n_ref, work.shape[1])
     zz = np.einsum("ij,ij->i", Z, Z)
+    Zm2, approx = Z * -2.0, work[:Z.shape[0], :width]
     with np.errstate(over="ignore", invalid="ignore"):
         # scaling by -2 is exact, and |z|^2 is added only to the one value
         # read below: fl(x + |z|^2) is monotone in x, so it selects alike
-        approx = np.matmul(Z * -2.0, refs.T, out=work[:Z.shape[0]])
-        approx += ref_sq
+        np.matmul(Zm2, refs[:width].T, out=approx)
+        approx += ref_sq[:width]
         if m < n_ref:
             part = np.argpartition(approx, m, axis=1)
             cand = part[:, :m]
             # smallest approximate distance among the references left out
-            outside = np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0] + zz
+            outside = np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0]
+            best = np.take_along_axis(approx, cand, axis=1) if width < n_ref else None
+            for lo in range(width, n_ref, width):
+                fresh = approx[:, :min(width, n_ref - lo)]
+                np.matmul(Zm2, refs[lo:lo + width].T, out=fresh)
+                fresh += ref_sq[lo:lo + width]
+                # only values below the m-th best so far can join the best m; where
+                # some do, the merge drops that m-th best, no larger than the rest
+                cut, low = best.max(axis=1), fresh.min(axis=1)
+                at, col = np.divmod(np.flatnonzero(fresh < cut[:, None]), fresh.shape[1])
+                slot = m + np.arange(at.size) - np.searchsorted(at, at)
+                vals = np.full((len(Z), slot.max(initial=m) + 1), np.inf)
+                rows = np.zeros(vals.shape, dtype=int)
+                vals[:, :m], vals[at, slot] = best, fresh[at, col]
+                rows[:, :m], rows[at, slot] = cand, col + lo
+                part = np.argpartition(vals, m, axis=1)
+                best, cand = (np.take_along_axis(a, part[:, :m], axis=1) for a in (vals, rows))
+                dropped = np.take_along_axis(vals, part[:, m:m + 1], axis=1)[:, 0]
+                outside = np.minimum(outside, np.where(low < cut, dropped, low))
+            outside += zz
         else:
             cand = np.broadcast_to(np.arange(n_ref), (Z.shape[0], n_ref))
             outside = np.full(Z.shape[0], np.inf)
@@ -119,18 +139,23 @@ def _k_nearest(refs, ref_sq, Z, k, work) -> tuple[np.ndarray, np.ndarray]:
     scale = zz + ref_sq.max()
     certified = (outside > ranked[:, -1] + 2 * _slack(scale, p)) & (scale < _MAX_SCALE)
     for i in np.flatnonzero(~certified):
-        d2 = np.sum((refs - Z[i]) ** 2, axis=1)
-        # stable sort: equal distances keep ascending row order
-        top[i] = np.argsort(d2, kind="stable")[:k]
-        ranked[i] = d2[top[i]]
+        rows, d2 = np.arange(width), np.sum((refs[:width] - Z[i]) ** 2, axis=1)
+        # stable sorts keep ties in row order: the k kept precede each chunk
+        for lo in range(width, n_ref, width):
+            keep = np.argsort(d2, kind="stable")[:k]
+            rows = np.concatenate([rows[keep], np.arange(lo, min(lo + width, n_ref))])
+            d2 = np.concatenate([d2[keep], np.sum((refs[lo:lo + width] - Z[i]) ** 2, axis=1)])
+        keep = np.argsort(d2, kind="stable")[:k]
+        top[i], ranked[i] = rows[keep], d2[keep]
     return top, ranked[:, 0]
 
 
 def _blocks(refs, ref_sq, Z, k):
     """Yield (block slice, k nearest rows, smallest squared distance) for
     consecutive blocks of standardized queries."""
-    step = max(1, _BLOCK_CELLS // len(refs), min(_MIN_BLOCK, (1 << 21) // len(refs)))
-    work = np.empty((min(step, Z.shape[0]), refs.shape[0]))
+    step = max(_MIN_BLOCK, _BLOCK_CELLS // len(refs))
+    rows = max(1, min(step, Z.shape[0]))  # fewer queries scan wider chunks
+    work = np.empty((rows, min(len(refs), k + _SPARE + max(1, _BLOCK_CELLS // rows))))
     for lo in range(0, Z.shape[0], step):
         block = slice(lo, lo + step)
         yield (block, *_k_nearest(refs, ref_sq, Z[block], k, work))

@@ -186,6 +186,23 @@ class TestProfile:
         with pytest.raises(ValueError, match="no profile rows"):
             DecileProfile.from_json([empty_bin])
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda rows: rows[0].update(count=-1), "counts must be at least 1",
+                     id="count-negative"),
+        pytest.param(lambda rows: rows[4].update(count=0), "counts must be at least 1",
+                     id="count-zero"),
+        pytest.param(lambda rows: rows[2].update(bin=7), r"numbered 1\.\.10 in order",
+                     id="bin-skipped"),
+        pytest.param(lambda rows: rows.reverse(), r"numbered 1\.\.10 in order",
+                     id="bins-reversed"),
+    ])
+    def test_json_rows_are_numbered_in_order_and_hold_rows(self, edit, message):
+        y = np.arange(1.0, 26.0)
+        rows = decile_mape_profile(y, y + 0.3).to_json()
+        edit(rows)
+        with pytest.raises(ValueError, match=message):
+            DecileProfile.from_json(rows)
+
     def test_csv_text(self, tmp_path):
         profile = DecileProfile((ProfileBin(1, 3, 0.1, 1 / 3, 12.5),
                                  ProfileBin(2, 2, 1 / 3, 2.0, 1e-7)), 7.5)

@@ -471,6 +471,34 @@ INTEGER_FIELD_CASES = {
     "training-rows-true": _set_field(True, "baseline", "training_rows"),
 }
 
+# float fields spelled as other JSON types, which float() would convert
+FLOAT_FIELD_CASES = {
+    "intercept-string": _set_field("19.9", "baseline", "intercept"),
+    "ridge-lambda-false": _set_field(False, "baseline", "ridge_lambda"),
+    "coefficient-string": _set_field("0.5", "front", "coefficients", 1),
+    "scaler-mean-string": _set_field("0.5", "router", "scaler", "means", 0),
+    "scaler-stddev-true": _set_field(True, "router", "scaler", "stddevs", 2),
+    "mape-string": _set_field("1e1", "profiles", "before", 0, "mape"),
+    "y-low-null": _set_field(None, "profiles", "after", 4, "y_low"),
+    "q-front-string": _set_field("0.3", "spec", "q_front"),
+    "t-back-true": _set_field(True, "spec", "t_back"),
+}
+
+
+def _swap_bin_numbers(doc):
+    rows = doc["profiles"]["before"]
+    rows[1]["bin"], rows[2]["bin"] = rows[2]["bin"], rows[1]["bin"]
+    return json.dumps(doc).encode()
+
+
+# profile rows decile_mape_profile never writes: every bin holds a row at
+# least, and bins are numbered 1..n in order
+PROFILE_ROW_CASES = {
+    "count-zero": _set_field(0, "profiles", "before", 3, "count"),
+    "count-negative": _set_field(-50, "profiles", "after", 0, "count"),
+    "bins-out-of-order": _swap_bin_numbers,
+}
+
 # hostile model documents: name -> model document -> file bytes
 HOSTILE_MODELS = {
     "indent-2": lambda doc: json.dumps(doc, indent=2).encode(),
@@ -529,6 +557,8 @@ HOSTILE_MODELS = {
     "labels-as-text": lambda doc: json.dumps(
         {**doc, "router": {**doc["router"], "labels": "fmb" * 166 + "fm"}}).encode(),
     **INTEGER_FIELD_CASES,
+    **FLOAT_FIELD_CASES,
+    **PROFILE_ROW_CASES,
 }
 
 
@@ -617,6 +647,22 @@ class TestModelIO:
         path = tmp_path / "model.json"
         path.write_bytes(HOSTILE_MODELS[case](model_to_json(dafr_train(piecewise(seed=8)))))
         with pytest.raises(ModelFormatError, match="must be an integer") as err:
+            load_model(path)
+        assert err.value.code == "model-parse"
+
+    @pytest.mark.parametrize("case", sorted(FLOAT_FIELD_CASES))
+    def test_float_fields_refuse_other_json_types(self, tmp_path, case):
+        path = tmp_path / "model.json"
+        path.write_bytes(HOSTILE_MODELS[case](model_to_json(dafr_train(piecewise(seed=8)))))
+        with pytest.raises(ModelFormatError, match="must be a (number|list of numbers)") as err:
+            load_model(path)
+        assert err.value.code == "model-parse"
+
+    @pytest.mark.parametrize("case", sorted(PROFILE_ROW_CASES))
+    def test_profile_rows_are_numbered_in_order_and_hold_rows(self, tmp_path, case):
+        path = tmp_path / "model.json"
+        path.write_bytes(HOSTILE_MODELS[case](model_to_json(dafr_train(piecewise(seed=8)))))
+        with pytest.raises(ModelFormatError, match="malformed model document: profile bin") as err:
             load_model(path)
         assert err.value.code == "model-parse"
 

@@ -2,6 +2,8 @@
 
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -40,6 +42,20 @@ def oracle_nearest_distance(refs_std, z):
 
 def identity_scaler(p):
     return Scaler(np.zeros(p), np.ones(p))
+
+
+# chunk sizes that split even a few dozen references into several chunks
+CHUNKS = [1, 3, 7]
+
+
+@contextmanager
+def chunked(chunk):
+    """Shrink the block budget so that blocks of _MIN_BLOCK queries scan the
+    references k + _SPARE + ``chunk`` at a time; None keeps the default."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(simfn, "_BLOCK_CELLS", simfn._MIN_BLOCK * chunk)
+        yield
 
 
 def random_router(rng, m=200, p=3, k=5):
@@ -202,19 +218,29 @@ def routing_problems(draw):
     return refs, labels, min(k, n), queries
 
 
+def assert_routes_like_the_oracle(refs, labels, k, queries, chunk=None):
+    router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(refs.shape[1]))
+    with np.errstate(over="ignore"):
+        expected = [oracle_route(refs, labels, k, z) for z in queries]
+        nearest = [oracle_nearest_distance(refs, z) for z in queries]
+        with chunked(chunk):
+            routed, dists = router.route_many(queries)
+    assert routed.tolist() == expected
+    # bit patterns, not values: score --trace writes repr of each one
+    assert np.array_equal(dists.view(np.int64), np.array(nearest).view(np.int64))
+
+
 class TestDifferential:
     @given(problem=routing_problems())
     @settings(max_examples=150, deadline=None)
     def test_route_many_is_bit_equal_to_oracle(self, problem):
-        refs, labels, k, queries = problem
-        router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(refs.shape[1]))
-        with np.errstate(over="ignore"):
-            routed, dists = router.route_many(queries)
-            expected = [oracle_route(refs, labels, k, z) for z in queries]
-            nearest = [oracle_nearest_distance(refs, z) for z in queries]
-        assert routed.tolist() == expected
-        # bit patterns, not values: score --trace writes repr of each one
-        assert np.array_equal(dists.view(np.int64), np.array(nearest).view(np.int64))
+        assert_routes_like_the_oracle(*problem)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @given(problem=routing_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_route_many_in_chunks_is_bit_equal_to_oracle(self, chunk, problem):
+        assert_routes_like_the_oracle(*problem, chunk=chunk)
 
 
 def left_out_oracle(refs, labels, k, i):
@@ -268,6 +294,16 @@ class TestLeaveOneOut:
         expected = [left_out_oracle(refs, labels, k, i) for i in rows]
         assert router.route_left_out(rows).tolist() == expected
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @given(problem=left_out_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_in_chunks_equals_deleting_the_row(self, chunk, problem):
+        refs, labels, k, rows = problem
+        router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(refs.shape[1]))
+        expected = [left_out_oracle(refs, labels, k, i) for i in rows]
+        with chunked(chunk):
+            assert router.route_left_out(rows).tolist() == expected
+
     def test_rejects_bad_rows_and_single_reference(self):
         router = knn_fit([[0.0], [1.0], [2.0]], [F, M, B], k=1)
         with pytest.raises(ValueError, match=r"\[0, 2\]"):
@@ -292,6 +328,31 @@ def record_scanned_rows(monkeypatch):
     return scanned
 
 
+@lru_cache(maxsize=None)
+def tie_heavy_grid(p, k):
+    """300 rows of a p-column integer grid, their labels, and each row's
+    label routed with that row deleted (computed once per p and k)."""
+    rng = np.random.default_rng(p)
+    refs = rng.integers(-3, 4, size=(300, p)).astype(float)
+    labels = rng.integers(0, 3, size=300)
+    return refs, labels, [left_out_oracle(refs, labels, k, i) for i in range(300)]
+
+
+def check_tie_heavy_grid(monkeypatch, leaf, p, chunk=None):
+    monkeypatch.setattr(simfn, "_LEAF", leaf)
+    monkeypatch.setattr(simfn, "_GROUP_CELLS", 0)
+    rows = np.arange(300)
+    scanned = record_scanned_rows(monkeypatch)
+    for k in (1, 2, 299, 300):
+        refs, labels, expected = tie_heavy_grid(p, k)
+        router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(p))
+        scanned.clear()
+        with chunked(chunk):
+            assert router.route_left_out(rows).tolist() == expected
+        if k + 1 <= leaf // 2:  # every leaf holds k + 1 rows: some are skipped
+            assert min(scanned) < 300
+
+
 class TestPrunedLeaveOneOut:
     """route_left_out with k-d leaves of a few rows and no cost per group
     of queries, so that most problems skip some leaves: labels must still
@@ -314,20 +375,13 @@ class TestPrunedLeaveOneOut:
     @pytest.mark.parametrize("leaf", [4, 6])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_tie_heavy_grid_equals_deleting_the_row(self, monkeypatch, leaf, p):
-        monkeypatch.setattr(simfn, "_LEAF", leaf)
-        monkeypatch.setattr(simfn, "_GROUP_CELLS", 0)
-        rng = np.random.default_rng(p)
-        refs = rng.integers(-3, 4, size=(300, p)).astype(float)
-        labels = rng.integers(0, 3, size=300)
-        rows = np.arange(300)
-        scanned = record_scanned_rows(monkeypatch)
-        for k in (1, 2, 299, 300):
-            router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(p))
-            expected = [left_out_oracle(refs, labels, k, i) for i in rows]
-            scanned.clear()
-            assert router.route_left_out(rows).tolist() == expected
-            if k + 1 <= leaf // 2:  # every leaf holds k + 1 rows: some are skipped
-                assert min(scanned) < 300
+        check_tie_heavy_grid(monkeypatch, leaf, p)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("leaf", [4, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_tie_heavy_grid_in_chunks_equals_deleting_the_row(self, monkeypatch, chunk, leaf, p):
+        check_tie_heavy_grid(monkeypatch, leaf, p, chunk)
 
     def test_some_scan_skips_references(self, monkeypatch):
         # the gate on the pruning itself: on a few thousand rows at p = 3 the
@@ -349,46 +403,115 @@ class TestPrunedLeaveOneOut:
 
 class TestBlockFloor:
     def test_floor_sized_blocks_match_the_oracles(self, monkeypatch):
-        # one cell per block: the floor alone sets the block size
-        monkeypatch.setattr(simfn, "_BLOCK_CELLS", 1)
-        # leaves of 5 rows and no cost per group of leave-one-out queries,
-        # so those can run in several groups
-        monkeypatch.setattr(simfn, "_LEAF", 8)
-        monkeypatch.setattr(simfn, "_GROUP_CELLS", 0)
-        sizes, groups, counts = [], [], []
-        k_nearest = simfn._k_nearest
-        candidates = simfn._left_out_groups
+        # one cell per block: the floor alone sets the block size, and the
+        # references are scanned k + _SPARE + 1 at a time
+        check_small_blocks(monkeypatch, 1)
 
-        def spy(refs, ref_sq, Z, k, work):
-            sizes.append(Z.shape[0])
-            return k_nearest(refs, ref_sq, Z, k, work)
+    @pytest.mark.parametrize("chunk", [3, 7])
+    def test_floor_sized_blocks_in_chunks_match_the_oracles(self, monkeypatch, chunk):
+        check_small_blocks(monkeypatch, simfn._MIN_BLOCK * chunk)
 
-        def record(*args):
-            for at, near in candidates(*args):
-                groups.append(len(at))
-                yield at, near
 
-        monkeypatch.setattr(simfn, "_k_nearest", spy)
-        monkeypatch.setattr(simfn, "_left_out_groups", record)
-        rng = np.random.default_rng(9)
-        for refs in (rng.integers(-1, 2, size=(80, 2)).astype(float),
-                     rng.normal(size=(80, 5))):
-            labels = rng.integers(0, 3, size=80)
-            router = KnnRouter(refs, labels, k=3, scaler=identity_scaler(refs.shape[1]))
-            queries = np.vstack([refs[:20], rng.normal(size=(20, refs.shape[1]))])
-            rows = np.arange(0, 80, 2)
-            routed = [oracle_route(refs, labels, 3, z) for z in queries]
-            left_out = [left_out_oracle(refs, labels, 3, i) for i in rows]
-            sizes.clear()
-            assert router.route_many(queries)[0].tolist() == routed
-            assert sizes == [16, 16, 8]
-            sizes.clear()
-            groups.clear()
-            assert router.route_left_out(rows).tolist() == left_out
-            # each group of leave-one-out queries runs in floor-sized blocks
-            assert sizes == [min(16, g - lo) for g in groups for lo in range(0, g, 16)]
-            counts.append(len(groups))
-        assert max(counts) > 1
+class TestChunks:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_duplicates_straddling_a_chunk_boundary(self, chunk, k):
+        # a full block scans k + _SPARE + chunk references at a time: runs
+        # of equal rows cross the first two chunk ends, among grid-point ties
+        width = k + simfn._SPARE + chunk
+        rng = np.random.default_rng(10 * chunk + k)
+        refs = rng.integers(-2, 3, size=(3 * width + 5, 2)).astype(float)
+        refs[width - 3:width + 3] = [0.0, 0.0]
+        refs[2 * width - 2:2 * width + 1] = [1.0, 0.0]
+        labels = rng.integers(0, 3, size=len(refs))
+        queries = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.5], [-1.0, 1.0]])
+        queries = np.vstack([queries, refs[width - 6:width + 5]])  # a full block
+        assert_routes_like_the_oracle(refs, labels, k, queries, chunk)
+        router = KnnRouter(refs, labels, k=k, scaler=identity_scaler(2))
+        rows = np.arange(len(refs))
+        expected = [left_out_oracle(refs, labels, k, i) for i in rows]
+        with chunked(chunk):
+            assert router.route_left_out(rows).tolist() == expected
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_a_later_chunk_that_adds_no_candidate_still_bounds_the_rest(self, chunk):
+        # near |z| = 1e8 rows 1 and 0.5 away get equal approximate distances:
+        # the first chunk's k + _SPARE rows 1 away fill the candidates and
+        # the nearer row's chunk adds none, so only the certificate, which
+        # must count that chunk's smallest approximate distance, finds it
+        z, k = 1e8, 1
+        m, width = k + simfn._SPARE, k + simfn._SPARE + chunk
+        refs = np.full((width + 6, 1), z + 1e4)
+        refs[:m] = z + 1.0
+        refs[width + 2] = z + 0.5
+        labels = np.ones(len(refs), dtype=int)
+        labels[:m], labels[width + 2] = 0, 2
+        # a full block of queries, so that each chunk is the one set up here
+        assert_routes_like_the_oracle(refs, labels, k, np.full((simfn._MIN_BLOCK, 1), z), chunk)
+
+    def test_route_many_memory_does_not_grow_with_the_references(self):
+        rng = np.random.default_rng(3)
+        refs = rng.normal(size=(60_000, 4))
+        refs.setflags(write=False)
+        router = KnnRouter(refs, rng.integers(0, 3, size=60_000), k=5, scaler=identity_scaler(4))
+        queries = rng.normal(size=(64, 4))
+        tracemalloc.start()
+        try:
+            router.route_many(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's scratch and its first chunk's partition index (16 x 4,109
+        # cells each, 0.5 MB) and the squared norms, one float per reference
+        # (0.48 MB); a block-wide scan of every reference would take 15 MB
+        assert peak <= 2 * 2**20, f"route_many peaked at {peak / 2**20:.2f} MiB"
+
+
+def check_small_blocks(monkeypatch, cells):
+    monkeypatch.setattr(simfn, "_BLOCK_CELLS", cells)
+    # leaves of 5 rows and no cost per group of leave-one-out queries,
+    # so those can run in several groups
+    monkeypatch.setattr(simfn, "_LEAF", 8)
+    monkeypatch.setattr(simfn, "_GROUP_CELLS", 0)
+    sizes, groups, counts, chunked_scans = [], [], [], []
+    k_nearest = simfn._k_nearest
+    candidates = simfn._left_out_groups
+
+    def spy(refs, ref_sq, Z, k, work):
+        sizes.append(Z.shape[0])
+        chunked_scans.append(work.shape[1] < len(refs))
+        return k_nearest(refs, ref_sq, Z, k, work)
+
+    def record(refs, *args):
+        for at, near in candidates(refs, *args):
+            groups.append((len(at), len(refs) if near is None else len(near)))
+            yield at, near
+
+    def step(n_ref):
+        return max(simfn._MIN_BLOCK, cells // n_ref)
+
+    monkeypatch.setattr(simfn, "_k_nearest", spy)
+    monkeypatch.setattr(simfn, "_left_out_groups", record)
+    rng = np.random.default_rng(9)
+    for refs in (rng.integers(-1, 2, size=(80, 2)).astype(float),
+                 rng.normal(size=(80, 5))):
+        labels = rng.integers(0, 3, size=80)
+        router = KnnRouter(refs, labels, k=3, scaler=identity_scaler(refs.shape[1]))
+        queries = np.vstack([refs[:20], rng.normal(size=(20, refs.shape[1]))])
+        rows = np.arange(0, 80, 2)
+        routed = [oracle_route(refs, labels, 3, z) for z in queries]
+        left_out = [left_out_oracle(refs, labels, 3, i) for i in rows]
+        sizes.clear()
+        assert router.route_many(queries)[0].tolist() == routed
+        assert sizes == [16, 16, 8]
+        sizes.clear()
+        groups.clear()
+        assert router.route_left_out(rows).tolist() == left_out
+        # each group of leave-one-out queries runs in floor-sized blocks
+        assert sizes == [min(step(n), g - lo) for g, n in groups for lo in range(0, g, step(n))]
+        counts.append(len(groups))
+    assert max(counts) > 1
+    assert any(chunked_scans)
 
 
 class TestValidation:
