@@ -23,7 +23,8 @@ from time import perf_counter
 import numpy as np
 
 from dafr import simfn
-from dafr.cli import SUMMARY_ROWS
+from dafr.cli import SUMMARY_ROWS, SUMMARY_STREAM
+from dafr.dataset import seeded_sample
 from dafr.pipeline import dafr_train
 from dafr.synth import KINDS, SynthConfig, generate
 
@@ -42,7 +43,7 @@ def main() -> None:
     ds = generate(SynthConfig(kind=args.kind, n=args.n, p=args.p, seed=args.seed))
     router = dafr_train(ds, k=args.k).router
     n = router.n_references
-    rows = np.sort(np.random.default_rng(args.seed).choice(n, min(args.rows, n), replace=False))
+    rows = seeded_sample(n, min(args.rows, n), args.seed ^ SUMMARY_STREAM)
 
     times = []
     for _ in range(args.repeats):

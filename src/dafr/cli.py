@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (atomic_write, load_csv, load_feature_csv, train_test_split, write_csv,
-                      write_rows)
+from .dataset import (atomic_write, load_csv, load_feature_csv, seeded_sample, train_test_split,
+                      write_csv, write_rows)
 from .errors import DafrError, InputError
 from .metrics import write_profile_csv
 from .pipeline import SegmentSpec, dafr_score, dafr_train, diagnose, load_model, save_model
@@ -29,9 +29,10 @@ from .synth import KINDS, SynthConfig, generate
 
 log = logging.getLogger("dafr")
 
-# training rows the summary routes leave-one-out (so not O(n^2 * p)); each
-# scans only the k-d leaves that can hold its k + 1 nearest, all at high p
+# training rows the summary routes leave-one-out (not O(n^2 * p): each scans only the k-d
+# leaves that can hold its k + 1 nearest, all at high p), sampled by seed ^ SUMMARY_STREAM
 SUMMARY_ROWS = 2000
+SUMMARY_STREAM = 1 << 63
 
 # command -> option -> builtin default; key order is the --help flag order
 DEFAULTS = {
@@ -92,7 +93,7 @@ RANGES = {
     "k": _COUNT, "bins": _COUNT,
     "q_front": _FRACTION, "q_back": _FRACTION, "test_fraction": _FRACTION,
     "ridge": (lambda v: 0 <= v < float("inf"), "finite and at least 0"),
-    "seed": (lambda v: v >= 0, "at least 0"),
+    "seed": (lambda v: 0 <= v < 1 << 64, "in [0, 2^64)"),
 }
 
 class UsageError(Exception):
@@ -194,16 +195,16 @@ def train_summary(model, train_ds, n_bins: int, seed: int) -> list[str]:
     """Summary lines for a freshly trained model.
 
     Baseline and routed figures come from the same rows: all training rows,
-    or SUMMARY_ROWS of them drawn with ``seed``. Each row is routed with
-    itself left out of the references, so "routed" is not an in-sample
-    figure.
+    or ``seeded_sample(n, SUMMARY_ROWS, seed ^ SUMMARY_STREAM)``, whose keys
+    are the split's stream from output 2^63 on. Each row is routed with itself
+    left out of the references, so "routed" is not an in-sample figure.
     """
     n = train_ds.n_rows
     if n <= SUMMARY_ROWS:
         rows = np.arange(n)
         label = f"leave-one-out on all {n} training rows"
     else:
-        rows = np.sort(np.random.default_rng(seed).choice(n, SUMMARY_ROWS, replace=False))
+        rows = seeded_sample(n, SUMMARY_ROWS, seed ^ SUMMARY_STREAM)
         label = f"leave-one-out on {SUMMARY_ROWS} of {n} training rows (seed {seed})"
     report = diagnose(model, train_ds.take(rows), n_bins,
                       routed=model.router.route_left_out(rows))
@@ -323,6 +324,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise UsageError(f"--seeds must be a comma-separated integer list, got {text!r}") from None
     if not seeds:
         raise UsageError("--seeds must name at least one seed")
+    if bad := [s for s in seeds if not RANGES["seed"][0](s)]:
+        raise UsageError(f"--seeds must each be {RANGES['seed'][1]}, got {bad[0]}")
     return seeds
 
 

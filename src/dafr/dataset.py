@@ -262,11 +262,24 @@ def write_csv(ds: Dataset, path) -> None:
             fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block.tolist()]))
 
 
+def seeded_sample(n: int, size: int, seed: int) -> np.ndarray:
+    """The ``size`` rows of ``range(n)``, ascending, with the smallest keys: row i's key is
+    output i of splitmix64 (Steele, Lea & Flood 2014) seeded with ``seed``, so none tie."""
+    if not 0 <= (seed := operator.index(seed)) < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift  # the bijective finalizer; uint64 arrays wrap without a warning
+        z *= factor
+    z ^= z >> 31
+    return np.sort(np.argpartition(z, size - 1)[:size])
+
+
 def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded, row-disjoint split; the test side gets round(n * test_fraction) rows.
 
-    The shuffle uses numpy's PCG64 generator; the contract is determinism
-    given the seed. Row order within each side follows the input.
+    The test rows are ``seeded_sample(n, n_test, seed)``, the training rows the rest.
+    Row order within each side follows the input.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
@@ -280,10 +293,8 @@ def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
             f"split would leave {n_train} training rows; "
             f"at least {MIN_TRAIN_ROWS} are needed for decile diagnostics"
         )
-    perm = np.random.default_rng(seed).permutation(n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    return ds.take(train_idx), ds.take(test_idx)
+    test_idx = seeded_sample(n, n_test, seed)
+    return ds.take(np.delete(np.arange(n), test_idx)), ds.take(test_idx)
 
 
 @dataclass(frozen=True)

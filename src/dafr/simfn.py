@@ -28,6 +28,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -328,6 +329,13 @@ class KnnRouter:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "k", int(self.k))
 
+    @cached_property
+    def ref_sq(self) -> np.ndarray:
+        """Each reference row's squared norm, read-only: derived once, not saved."""
+        sq = np.einsum("ij,ij->i", self.reference_points, self.reference_points)
+        sq.setflags(write=False)
+        return sq
+
     @property
     def n_references(self) -> int:
         return self.reference_points.shape[0]
@@ -354,10 +362,9 @@ class KnnRouter:
         ``route`` and ``route_many`` both call this, so neither public
         method runs inside the other.
         """
-        refs = self.reference_points
         labels = np.empty(Z.shape[0], dtype=int)
         dists = np.empty(Z.shape[0])
-        for block, top, nearest_sq in _blocks(refs, np.einsum("ij,ij->i", refs, refs), Z, self.k):
+        for block, top, nearest_sq in _blocks(self.reference_points, self.ref_sq, Z, self.k):
             labels[block] = _majority(self.labels[top])
             dists[block] = np.sqrt(nearest_sq)
         return labels, dists
@@ -390,8 +397,7 @@ class KnnRouter:
         if rows.size and not (0 <= rows.min() and rows.max() < n):
             raise ValueError(f"reference rows must lie in [0, {n - 1}]")
         k = min(self.k + 1, n)
-        refs = self.reference_points
-        ref_sq = np.einsum("ij,ij->i", refs, refs)
+        refs, ref_sq = self.reference_points, self.ref_sq
         labels = np.empty(rows.shape[0], dtype=int)
         for at, near in _left_out_groups(refs, ref_sq, rows, k):
             cand = (refs, ref_sq) if near is None else (refs[near], ref_sq[near])

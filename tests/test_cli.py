@@ -8,14 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dafr
 from dafr import experiments, simfn
-from dafr.cli import SUMMARY_ROWS, main
-from dafr.dataset import load_feature_csv
+from dafr.cli import SUMMARY_ROWS, SUMMARY_STREAM, main
+from dafr.dataset import load_feature_csv, seeded_sample
 from dafr.pipeline import dafr_score, load_model
-from dafr.simfn import SegmentLabel
+from dafr.simfn import KnnRouter, SegmentLabel
 
 
 @pytest.fixture
@@ -180,6 +181,44 @@ class TestTrainSummary:
         assert run("train", "--data", "pw.csv", "--target", "y", "--out", "pw.json") == 0
         assert "worse" not in (workdir / "pw.summary.txt").read_text()
 
+    def test_summary_draws_from_another_stream_than_the_split(self, workdir, monkeypatch):
+        n = SUMMARY_ROWS + 500
+        make_data(n=n)
+        drawn = []
+        route_left_out = KnnRouter.route_left_out
+
+        def recording(router, rows):
+            drawn.append(rows)
+            return route_left_out(router, rows)
+
+        monkeypatch.setattr(KnnRouter, "route_left_out", recording)
+        assert run("train", "--data", "pw.csv", "--target", "y", "--seed", "4",
+                   "--out", "model.json") == 0
+        assert np.array_equal(drawn[0], seeded_sample(n, SUMMARY_ROWS, 4 ^ SUMMARY_STREAM))
+        assert not np.array_equal(drawn[0], seeded_sample(n, SUMMARY_ROWS, 4))
+
+    def test_train_score_diagnose_do_not_load_numpy_random(self, workdir):
+        # 2,400 training rows after the split: more than SUMMARY_ROWS, so the
+        # summary draws its sample too
+        make_data(n=3000)
+        src = str(Path(dafr.__file__).resolve().parents[1])
+        code = """
+import sys
+from dafr.cli import main
+for argv in ("train --data pw.csv --target y --test-fraction 0.2 --out model.json",
+             "score --model model.json --data model.holdout.csv --target y --out scored.csv",
+             "diagnose --model model.json --data model.holdout.csv --target y --out report.json"):
+    if main(argv.split()) != 0:
+        sys.exit(argv)
+print("numpy.random" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], cwd=workdir,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        assert f"on {SUMMARY_ROWS} of 2400 training rows" in Path("model.summary.txt").read_text()
+
     def test_cli_import_does_not_load_experiments(self):
         src = str(Path(dafr.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -341,6 +380,11 @@ class TestCompare:
         assert run("compare", "--seeds", "1,two") == 2
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["-1", "0,18446744073709551616"])
+    def test_seed_outside_64_bits_writes_nothing(self, workdir, seeds):
+        assert run("compare", "--n", "60", "--seeds", seeds, "--out", "cmp.csv") == 2
+        assert not list(workdir.iterdir())
+
 
 class TestParser:
     def test_unknown_command(self, workdir):
@@ -406,6 +450,10 @@ HOSTILE = {
                             3, "io: [Errno 21] Is a directory: 'outdir'"),
     "diagnose-out-directory": (lambda: _out_directory("diagnose", "outdir"),
                                3, "io: [Errno 21] Is a directory: 'outdir'"),
+    "flag-seeds=-1": (lambda: ["compare", "--seeds=-1"],
+                      2, "usage: --seeds must each be in [0, 2^64), got -1"),
+    "flag-seeds=2^64": (lambda: ["compare", "--seeds", "3,18446744073709551616"],
+                        2, "usage: --seeds must each be in [0, 2^64), got 18446744073709551616"),
 }
 # hand-edited sidecar values of the wrong JSON type: option -> (value, expected type)
 WRONG_TYPES = {
@@ -422,7 +470,8 @@ OUT_OF_RANGE = [
     ("k", "0", "at least 1"), ("k", "-3", "at least 1"),
     ("q_front", "2.0", "in (0, 1)"), ("q_front", "NaN", "in (0, 1)"),
     ("bins", "0", "at least 1"), ("test_fraction", "1.5", "in (0, 1)"),
-    ("ridge", "-1", "finite and at least 0"), ("seed", "-1", "at least 0"),
+    ("ridge", "-1", "finite and at least 0"), ("seed", "-1", "in [0, 2^64)"),
+    ("seed", "18446744073709551616", "in [0, 2^64)"),
 ]
 for _key, _value, _must in OUT_OF_RANGE:
     HOSTILE[f"config-{_key}={_value}"] = (

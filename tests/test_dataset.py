@@ -1,7 +1,8 @@
-"""Tests for CSV loading, splitting, and standardization."""
+"""Tests for CSV loading, seeded sampling and splitting, and standardization."""
 
 import ast
 import csv
+import hashlib
 import math
 import os
 import stat
@@ -23,6 +24,7 @@ from dafr.dataset import (
     fit_scaler,
     load_csv,
     load_feature_csv,
+    seeded_sample,
     train_test_split,
     write_csv,
     write_rows,
@@ -518,7 +520,52 @@ class TestCsvFastPath:
                 load_csv(path, "y")
 
 
+class TestSeededSample:
+    def test_keys_follow_the_published_splitmix64(self):
+        # the reference C splitmix64 seeded with 0 first outputs 0xE220A8397B1DCDAF,
+        # 0x6E789E6AA1B965F4, 0x06C45D188009454F: rows 2, 1, 0 in key order
+        assert [seeded_sample(3, size, 0).tolist() for size in (1, 2, 3)] == [
+            [2], [1, 2], [0, 1, 2]]
+
+    def test_golden_samples(self):
+        assert seeded_sample(10, 3, 0).tolist() == [2, 4, 6]
+        rows = seeded_sample(100_000, 20_000, 7)
+        assert hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest() == (
+            "358d1ecae5fbcd57f84fd506d3dcf41a60b522530125b91628d2bba3a142b268")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_rows_are_distinct_ascending_and_nested(self, seed):
+        n = 200
+        previous = np.zeros(0, dtype=int)
+        for size in range(n + 1):
+            rows = seeded_sample(n, size, seed)
+            assert rows.shape == (size,)
+            assert np.array_equal(rows, np.unique(rows)) and np.isin(rows, np.arange(n)).all()
+            assert np.isin(previous, rows).all()
+            previous = rows
+        assert previous.tolist() == list(range(n))
+
+    def test_seeds_give_their_own_samples(self):
+        samples = {tuple(seeded_sample(1000, 50, seed).tolist()) for seed in range(20)}
+        assert len(samples) == 20
+        assert not np.array_equal(seeded_sample(1000, 50, 0), seeded_sample(1000, 50, 2**64 - 1))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 2**64, 2**64 + 5])
+    def test_seeds_outside_64_bits_are_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            seeded_sample(10, 3, seed)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            train_test_split(make_ds(100), 0.2, seed)
+
+
 class TestSplit:
+    def test_test_rows_are_the_seeded_sample(self):
+        ds = make_ds(100)
+        train, test = train_test_split(ds, 0.2, seed=7)
+        rows = seeded_sample(100, 20, 7)
+        assert np.array_equal(test.target, ds.target[rows])
+        assert np.array_equal(train.target, np.delete(ds.target, rows))
+
     def test_sizes_round_to_nearest(self):
         ds = make_ds(100)
         train, test = train_test_split(ds, 0.2, seed=7)

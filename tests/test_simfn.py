@@ -3,6 +3,7 @@
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -465,6 +466,38 @@ class TestChunks:
         # cells each, 0.5 MB) and the squared norms, one float per reference
         # (0.48 MB); a block-wide scan of every reference would take 15 MB
         assert peak <= 2 * 2**20, f"route_many peaked at {peak / 2**20:.2f} MiB"
+
+    def test_later_calls_allocate_nothing_per_reference(self):
+        peaks = []
+        for n in (60_000, 240_000):
+            rng = np.random.default_rng(3)
+            refs = rng.normal(size=(n, 4))
+            refs.setflags(write=False)
+            router = KnnRouter(refs, rng.integers(0, 3, size=n), k=5, scaler=identity_scaler(4))
+            queries = rng.normal(size=(64, 4))
+            router.route_many(queries)  # derives the squared norms, once
+            tracemalloc.start()
+            try:
+                router.route_many(queries)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * 2**20, [f"{p / 2**20:.2f} MiB" for p in peaks]
+
+    def test_squared_norms_are_derived_lazily_and_kept_out_of_the_record(self):
+        X = np.random.default_rng(6).normal(size=(300, 3))
+        router = knn_fit(X, np.arange(300) % 3, k=3)
+        assert "ref_sq" not in vars(router)
+        labels = router.route_many(X[:40])[0]
+        sq = router.ref_sq
+        assert router.ref_sq is sq and not sq.flags.writeable
+        refs = router.reference_points
+        assert np.array_equal(sq, np.einsum("ij,ij->i", refs, refs))
+        twin = KnnRouter(refs, router.labels, router.k, router.scaler)
+        assert "ref_sq" not in {f.name for f in fields(KnnRouter)}
+        assert repr(twin) == repr(router)
+        assert "ref_sq" not in router.to_json()
+        assert np.array_equal(twin.route_many(X[:40])[0], labels)
 
 
 def check_small_blocks(monkeypatch, cells):
