@@ -249,9 +249,8 @@ def cmd_train(cfg: dict) -> int:
     model = dafr_train(train_ds, ridge=cfg["ridge"], k=cfg["k"], spec=spec,
                        n_bins=cfg["bins"])
     save_model(model, out)
-    stem = Path(cfg["data"]).with_suffix("").name
-    before_path = out.parent / f"{stem}.profile_before.csv"
-    after_path = out.parent / f"{stem}.profile_after.csv"
+    before_path = _beside(out, ".profile_before.csv")
+    after_path = _beside(out, ".profile_after.csv")
     write_profile_csv(model.train_profile_before, before_path)
     write_profile_csv(model.train_profile_after, after_path)
 

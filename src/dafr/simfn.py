@@ -245,15 +245,15 @@ def _left_out_groups(refs, ref_sq, rows, k):
 
     Q, own = refs[rows[order]], leaf_of[rows[order]]
     bound = _slack(ref_sq[rows[order]] + ref_sq.max(), p)
-    # each leaf's rows, padded with infinitely far ones
-    leaves = refs[np.minimum(ids, n - 1)]
-    leaves[ids == n] = np.inf
-    # in chunks whose query x leaf-row x column temporaries stay near 64 KB
-    step = max(1, _BLOCK_CELLS // 8 // leaves[0].size)
+    # each chunk gathers its own leaves' rows, the padding infinitely far, in
+    # query x leaf-row x column temporaries near 64 KB: no copy of every leaf
+    step = max(1, _BLOCK_CELLS // 8 // (ids.shape[1] * p))
     for c in range(0, len(order), step):
-        d = leaves[own[c:c + step]] - Q[c:c + step, None, :]
-        bound[c:c + step] += np.partition(np.einsum("ijk,ijk->ij", d, d), k - 1)[:, k - 1]
-    del leaves  # n x p floats, not needed while the groups are scanned
+        mine = ids[own[c:c + step]]
+        d = refs[np.minimum(mine, n - 1)] - Q[c:c + step, None, :]
+        d2 = np.einsum("ijk,ijk->ij", d, d)
+        d2[mine == n] = np.inf
+        bound[c:c + step] += np.partition(d2, k - 1)[:, k - 1]
     # queries per walk, so a query x leaf x column array stays near 0.5 MB
     step = max(_MIN_BLOCK, _BLOCK_CELLS // (len(ids) * p))
     group, union = order[:0], None

@@ -296,9 +296,8 @@ def test_09_housing_style_pipeline(tmp_path, monkeypatch, announce):
                     "--out", "housing_report.json"])
     elapsed = time.perf_counter() - start
 
-    stem = data.with_suffix("").name
-    before = tmp_path / f"{stem}.profile_before.csv"
-    after = tmp_path / f"{stem}.profile_after.csv"
+    before = tmp_path / "housing_model.profile_before.csv"
+    after = tmp_path / "housing_model.profile_after.csv"
     profiles_ok = before.exists() and after.exists()
 
     identity_ok = False

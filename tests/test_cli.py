@@ -66,7 +66,7 @@ class TestTrain:
         assert run("train", "--data", "pw.csv", "--target", "y",
                    "--out", "model.json") == 0
         for name in ("model.json", "model.summary.txt", "model.config.json",
-                     "pw.profile_before.csv", "pw.profile_after.csv"):
+                     "model.profile_before.csv", "model.profile_after.csv"):
             assert (workdir / name).exists(), name
         summary = (workdir / "model.summary.txt").read_text()
         assert "mape: baseline" in summary
@@ -108,12 +108,24 @@ class TestTrain:
         assert len(holdout) == 41
         assert "holdout" in (workdir / "model.summary.txt").read_text()
 
+    def test_two_models_from_one_csv_keep_their_own_profiles(self, workdir):
+        make_data(n=200)
+        names = [f"{m}.profile_{side}.csv" for m in ("a", "b") for side in ("before", "after")]
+        assert run("train", "--data", "pw.csv", "--target", "y", "--out", "a.json") == 0
+        first = {name: (workdir / name).read_bytes() for name in names[:2]}
+        assert run("train", "--data", "pw.csv", "--target", "y", "--out", "b.json",
+                   "--test-fraction", "0.2") == 0
+        # a's profiles are still a's; b's, fit on 160 rows, count fewer
+        assert {name: (workdir / name).read_bytes() for name in names[:2]} == first
+        counts = [sum(int(row[1]) for row in read_rows(name)[1:]) for name in names]
+        assert counts == [200, 200, 160, 160]
+
     def test_rerun_from_config_is_byte_identical(self, workdir):
         make_data()
         assert run("train", "--data", "pw.csv", "--target", "y",
                    "--out", "model.json") == 0
         outputs = ["model.json", "model.summary.txt", "model.config.json",
-                   "pw.profile_before.csv", "pw.profile_after.csv"]
+                   "model.profile_before.csv", "model.profile_after.csv"]
         snapshot = {name: (workdir / name).read_bytes() for name in outputs}
         assert run("train", "--config", "model.config.json") == 0
         for name in outputs:
@@ -149,7 +161,7 @@ class TestTrainSummary:
         assert lines[2] == "routed figures: leave-one-out on all 200 training rows"
         # in-sample routing with k = 1 sends every row to its own segment,
         # which is what profile_after records; left out, rows can be misrouted
-        after = read_rows("pw.profile_after.csv")[1:]
+        after = read_rows("model.profile_after.csv")[1:]
         in_sample = sum(int(r[1]) * float(r[4]) for r in after) / 200
         routed = next(line for line in lines if line.startswith("mape: "))
         assert float(routed.rsplit(" ", 1)[1]) != pytest.approx(in_sample, rel=1e-5)

@@ -547,6 +547,26 @@ def check_small_blocks(monkeypatch, cells):
     assert any(chunked_scans)
 
 
+class TestLeftOutMemory:
+    def test_the_bound_copies_no_leaf_it_does_not_read(self):
+        # one query, so that its walk and scan stay small and the bound on
+        # its k-th distance sets the peak: a padded copy of every leaf would
+        # alone outweigh the 5.1 MB matrix, while the tree keeps a few
+        # integers per row (0.42x the matrix here, 1.32x with that copy)
+        rng = np.random.default_rng(8)
+        refs = rng.normal(size=(40_000, 16))
+        refs.setflags(write=False)
+        router = KnnRouter(refs, rng.integers(0, 3, size=40_000), k=5, scaler=identity_scaler(16))
+        router.route_left_out([7])  # derives the squared norms, once
+        tracemalloc.start()
+        try:
+            router.route_left_out([7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= refs.nbytes / 2, f"route_left_out peaked at {peak / 2**20:.2f} MiB"
+
+
 class TestValidation:
     def test_k_bounds(self):
         refs = np.zeros((10, 1)) + np.arange(10)[:, None]
